@@ -1,35 +1,29 @@
 // Standing-query-population scaling (runtime/query_index.h, DESIGN.md
 // §3.1): per-edge dispatch cost as a function of the number K of
-// registered queries, with the label-discrimination query index on and
-// off.
+// registered queries under the label-discrimination query index.
 //
 // The workload is K single-label queries over a Zipf-label stream
 // (workload/generators.h GenerateZipfLabelStream): each arriving edge
 // matches exactly one query's admission label, so the *useful* work per
-// edge is O(1) in K. What separates the two dispatch modes is everything
-// around that useful work — the legacy path broadcasts time-advance and
-// purge phases to all O(K) operators per distinct timestamp / slide
-// boundary, while the indexed path touches only the operators its
-// postings and touched-cone say can react. ops_touched_per_edge makes
-// the difference a first-class, near-deterministic metric.
+// edge is O(1) in K. The dispatch keeps everything around that useful
+// work O(1) too: time-advance and purge phases touch only the operators
+// the postings and touched-cone say can react, not all O(K) operators
+// per distinct timestamp / slide boundary. ops_touched_per_edge makes
+// that a first-class, near-deterministic metric.
 //
 // Output: one JSON object per line on stdout —
 //   {"bench":"query_scale","queries":K,"workers":N,"batch":B,
-//    "index":0|1,"labels":L,"edges":E,"elapsed_seconds":S,
+//    "labels":L,"edges":E,"elapsed_seconds":S,
 //    "tuples_per_sec":T,"results_total":R,"ops":O,"state_bytes":M,
 //    "ops_touched_per_edge":F,"index_skipped_dispatches":D}
 // ("edges" is edges *admitted by some query*: at K=16 over 1024 labels
 // the cold-label tail matches nothing, so edges < the stream length.)
 // A human summary goes to stderr. Failure conditions:
-//  - per-query result counts must not depend on the index flag (the
-//    index prunes dispatch, never semantics);
-//  - legacy-only: index_skipped_dispatches must be 0 with the index off;
-//  - indexed ops_touched_per_edge must stay O(matching operators): the
-//    K=1024 fanout may not exceed 4x the K=16 fanout (+2 absolute
-//    slack for boundary-phase amortization over the shared stream);
-//  - indexed throughput at K=1024 must stay within 3x of K=16 (the
-//    population is 64x larger; near-flat per-edge cost is the point of
-//    the index).
+//  - ops_touched_per_edge must stay O(matching operators): the K=1024
+//    fanout may not exceed 4x the K=16 fanout (+2 absolute slack for
+//    boundary-phase amortization over the shared stream);
+//  - throughput at K=1024 must stay within 3x of K=16 (the population is
+//    64x larger; near-flat per-edge cost is the point of the index).
 
 #include <vector>
 
@@ -56,9 +50,9 @@ int main() {
 
   int failures = 0;
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    // Throughput / fanout of the indexed K=16 run, the scaling yardstick.
-    double indexed_tput_16 = 0;
-    double indexed_fanout_16 = 0;
+    // Throughput / fanout of the K=16 run, the scaling yardstick.
+    double tput_16 = 0;
+    double fanout_16 = 0;
     for (std::size_t num_queries : {std::size_t{16}, std::size_t{128},
                                     std::size_t{1024}}) {
       std::vector<StreamingGraphQuery> queries;
@@ -73,86 +67,51 @@ int main() {
       std::fprintf(stderr, "-- K=%zu workers=%zu --\n", num_queries,
                    workers);
 
-      std::vector<std::size_t> legacy_counts;
-      for (const bool index : {false, true}) {
-        EngineOptions options;
-        options.batch_size = kBatch;
-        options.num_workers = workers;
-        options.use_query_index = index;
-        auto metrics = RunMultiSga(
-            *stream, queries, vocab, options,
-            "K=" + std::to_string(num_queries) +
-                (index ? "/indexed" : "/legacy"));
-        bench::CheckOk(metrics.status(), "run");
+      EngineOptions options;
+      options.batch_size = kBatch;
+      options.num_workers = workers;
+      auto metrics = RunMultiSga(*stream, queries, vocab, options,
+                                 "K=" + std::to_string(num_queries));
+      bench::CheckOk(metrics.status(), "run");
 
-        const RunMetrics& t = metrics->totals;
-        const double fanout = t.OpsTouchedPerEdge();
-        if (!index) {
-          legacy_counts = metrics->per_query_results;
-          if (t.index_skipped_dispatches != 0) {
-            std::fprintf(stderr,
-                         "index off but %zu dispatches were skipped\n",
-                         t.index_skipped_dispatches);
-            ++failures;
-          }
-        } else {
-          // The index prunes dispatch, never semantics: the pruned
-          // operators are exactly those guaranteed no-op, so per-query
-          // results are identical, not just statistically close.
-          for (std::size_t q = 0; q < metrics->per_query_results.size();
-               ++q) {
-            if (metrics->per_query_results[q] != legacy_counts[q]) {
-              std::fprintf(stderr,
-                           "query %zu: %zu results indexed vs %zu legacy "
-                           "(K=%zu, workers=%zu)\n",
-                           q, metrics->per_query_results[q],
-                           legacy_counts[q], num_queries, workers);
-              ++failures;
-            }
-          }
-          if (num_queries == 16) {
-            indexed_tput_16 = t.Throughput();
-            indexed_fanout_16 = fanout;
-          } else if (num_queries == 1024) {
-            if (indexed_fanout_16 > 0 &&
-                fanout > indexed_fanout_16 * 4.0 + 2.0) {
-              std::fprintf(stderr,
-                           "indexed fanout grew O(K): %.2f ops/edge at "
-                           "K=1024 vs %.2f at K=16 (workers=%zu)\n",
-                           fanout, indexed_fanout_16, workers);
-              ++failures;
-            }
-            if (indexed_tput_16 > 0 &&
-                t.Throughput() < indexed_tput_16 / 3.0) {
-              std::fprintf(stderr,
-                           "indexed throughput collapsed with K: %.0f "
-                           "tuples/s at K=1024 vs %.0f at K=16 "
-                           "(workers=%zu)\n",
-                           t.Throughput(), indexed_tput_16, workers);
-              ++failures;
-            }
-          }
+      const RunMetrics& t = metrics->totals;
+      const double fanout = t.OpsTouchedPerEdge();
+      if (num_queries == 16) {
+        tput_16 = t.Throughput();
+        fanout_16 = fanout;
+      } else if (num_queries == 1024) {
+        if (fanout_16 > 0 && fanout > fanout_16 * 4.0 + 2.0) {
+          std::fprintf(stderr,
+                       "fanout grew O(K): %.2f ops/edge at K=1024 vs "
+                       "%.2f at K=16 (workers=%zu)\n",
+                       fanout, fanout_16, workers);
+          ++failures;
         }
-        std::printf(
-            "{\"bench\":\"query_scale\",\"queries\":%zu,\"workers\":%zu,"
-            "\"cpus\":%zu,\"batch\":%zu,\"index\":%d,\"labels\":%zu,"
-            "\"edges\":%zu,"
-            "\"elapsed_seconds\":%.6f,\"tuples_per_sec\":%.1f,"
-            "\"results_total\":%zu,\"ops\":%zu,\"state_bytes\":%zu,"
-            "\"ops_touched_per_edge\":%.3f,"
-            "\"index_skipped_dispatches\":%zu%s}\n",
-            num_queries, workers, bench::Cpus(), kBatch, index ? 1 : 0,
-            zipf.num_labels,
-            t.edges_processed, t.elapsed_seconds, t.Throughput(),
-            t.results_emitted, metrics->num_operators, t.state_bytes,
-            fanout, t.index_skipped_dispatches,
-            bench::CheckpointJson(t).c_str());
-        std::fprintf(stderr,
-                     "  %-7s %10.0f tuples/s  %6.2f ops/edge  "
-                     "%9zu skipped  %6zu results\n",
-                     index ? "indexed" : "legacy", t.Throughput(), fanout,
-                     t.index_skipped_dispatches, t.results_emitted);
+        if (tput_16 > 0 && t.Throughput() < tput_16 / 3.0) {
+          std::fprintf(stderr,
+                       "throughput collapsed with K: %.0f tuples/s at "
+                       "K=1024 vs %.0f at K=16 (workers=%zu)\n",
+                       t.Throughput(), tput_16, workers);
+          ++failures;
+        }
       }
+      std::printf(
+          "{\"bench\":\"query_scale\",\"queries\":%zu,\"workers\":%zu,"
+          "\"cpus\":%zu,\"batch\":%zu,\"labels\":%zu,"
+          "\"edges\":%zu,"
+          "\"elapsed_seconds\":%.6f,\"tuples_per_sec\":%.1f,"
+          "\"results_total\":%zu,\"ops\":%zu,\"state_bytes\":%zu,"
+          "\"ops_touched_per_edge\":%.3f,"
+          "\"index_skipped_dispatches\":%zu%s}\n",
+          num_queries, workers, bench::Cpus(), kBatch, zipf.num_labels,
+          t.edges_processed, t.elapsed_seconds, t.Throughput(),
+          t.results_emitted, metrics->num_operators, t.state_bytes, fanout,
+          t.index_skipped_dispatches, bench::CheckpointJson(t).c_str());
+      std::fprintf(stderr,
+                   "  %10.0f tuples/s  %6.2f ops/edge  %9zu skipped  "
+                   "%6zu results\n",
+                   t.Throughput(), fanout, t.index_skipped_dispatches,
+                   t.results_emitted);
     }
   }
   return failures == 0 ? 0 : 1;

@@ -6,15 +6,20 @@
 //                    [--delta-path] [--slack N] [--batch N] [--workers N]
 //                    [--query FILE]... [--no-share] [--async-ingest]
 //                    [--pin-workers] [--format csv|binary|auto]
-//                    [--parsers N] [--no-query-index] [--mmap] [--no-mmap]
-//                    [--checkpoint-dir DIR] [--checkpoint-every N]
-//                    [--restore]
+//                    [--parsers N] [--checkpoint-dir DIR]
+//                    [--checkpoint-every N] [--restore]
 //   stream_query_cli --serve <stream> [window] [slide] [engine flags]
 //
 //   query-file   Datalog rules (rq.h syntax) or a G-CORE query (--gcore)
 //   stream       CSV lines `src,label,trg,timestamp[,+|-]` or an SGQB
 //                binary stream, timestamp-ordered (with --slack N,
-//                bounded disorder is tolerated)
+//                bounded disorder is tolerated). A path or a pipe such as
+//                /dev/stdin; the stream is opened once. With
+//                --async-ingest a regular file is mapped and streams
+//                through a bounded readahead window — peak ingest memory
+//                is O(window), not O(file), so files larger than RAM
+//                ingest fine. Synchronous runs (reorder-slack printing,
+//                per-element delivery) read the stream into memory.
 //   window/slide time-based sliding window, default 24 / 1
 //   --query FILE register an additional standing query; all queries run
 //                on one shared multi-query engine (core/engine.h) with
@@ -25,7 +30,7 @@
 //                --slack N the reorder stage runs on the ingest thread
 //                too. Results print when the stream drains.
 //   --format F   input stream encoding: csv, binary (SGQB), or auto
-//                (default — sniff the magic bytes)
+//                (default — sniff the magic bytes of the opened input)
 //   --parsers N  shard the parse stage over N parser threads behind an
 //                order-restoring merge (DESIGN.md §6); N > 1 implies
 //                --async-ingest. Note: with N > 1 over CSV input,
@@ -34,22 +39,7 @@
 //                result line order) may vary run to run; binary streams
 //                intern their dictionary up front and stay fully
 //                deterministic.
-//   --mmap / --no-mmap   with --async-ingest, how the stream *file* is
-//                served to the parse stage: mmap with sequential
-//                readahead (--mmap; the default where available) or
-//                portable buffered preads (--no-mmap). Either way the
-//                file streams through a bounded readahead window — peak
-//                ingest memory is O(window), not O(file), so files
-//                larger than RAM ingest fine — and output is
-//                byte-identical between the two. Synchronous runs
-//                (reorder-slack printing, per-element delivery) still
-//                materialize the file.
 //   --pin-workers   pin runtime threads to cores (best-effort affinity)
-//   --no-query-index   escape hatch: disable the label-discrimination
-//                query index (DESIGN.md §3.1) and dispatch every edge /
-//                time advance by the legacy full scan. Semantics are
-//                identical either way; use only to isolate a suspected
-//                index bug or to measure the dispatch win.
 //   --checkpoint-dir DIR   crash recovery (DESIGN.md §7): with
 //                --checkpoint-every N, write an SGQC snapshot
 //                DIR/ckpt-NNNNNN.sgqc after every N-th stream element
@@ -69,9 +59,9 @@
 //                positional argument is the stream; window/slide set the
 //                window attached to every subscribed query. Result lines
 //                are tagged `s<id><TAB>`. Engine flags (--batch,
-//                --workers, --delta-path, --no-share, --no-query-index)
-//                apply; --gcore, --query, --slack, --async-ingest and
-//                checkpointing are not available in serve mode.
+//                --workers, --delta-path, --no-share) apply; --gcore,
+//                --query, --slack, --async-ingest and checkpointing are
+//                not available in serve mode.
 //   --restore    resume from the newest valid checkpoint in
 //                --checkpoint-dir: corrupt / truncated / mismatched
 //                snapshots are reported and skipped (falling back to
@@ -190,12 +180,6 @@ int main(int argc, char** argv) {
       options.async_ingest = true;
     } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
       options.pin_workers = true;
-    } else if (std::strcmp(argv[i], "--no-query-index") == 0) {
-      options.use_query_index = false;
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
-      options.ingest_file_mode = FileIngestMode::kMmap;
-    } else if (std::strcmp(argv[i], "--no-mmap") == 0) {
-      options.ingest_file_mode = FileIngestMode::kBuffered;
     } else if (std::strcmp(argv[i], "--query") == 0 && i + 1 < argc) {
       auto text = ReadFile(argv[++i]);
       if (!text.ok()) {
@@ -292,11 +276,7 @@ int main(int argc, char** argv) {
       }
       query_text = *text;
     }
-    if (positionals.size() > 1) {
-      // Record the path only: async runs stream the file through the
-      // bounded chunk feeder; synchronous paths materialize it later.
-      stream_path = positionals[1];
-    }
+    if (positionals.size() > 1) stream_path = positionals[1];
     if (positionals.size() > 2) window = std::atoll(positionals[2]);
     if (positionals.size() > 3) slide = std::atoll(positionals[3]);
   }
@@ -321,18 +301,23 @@ int main(int argc, char** argv) {
     ::mkdir(checkpoint_dir.c_str(), 0755);
   }
 
-  if (format_auto) {
-    if (stream_path.empty()) {
-      options.ingest_format = DetectStreamFormat(stream_text);
-    } else {
-      // Sniff the magic bytes without materializing the file.
-      auto detected = DetectStreamFileFormat(stream_path);
-      if (!detected.ok()) {
-        std::fprintf(stderr, "%s\n", detected.status().ToString().c_str());
-        return 1;
-      }
-      options.ingest_format = *detected;
+  // The stream is opened exactly once, so a pipe is never drained by a
+  // separate probe: async runs hand the path to the chunk feeder below
+  // (which sniffs --format auto from the bytes it maps or reads);
+  // synchronous runs deliver per element (printing as results appear), so
+  // they read the stream here and sniff the bytes they hold.
+  const bool file_feeder = options.async_ingest && !stream_path.empty();
+  if (!stream_path.empty() && !file_feeder) {
+    // Binary-safe buffered read: SGQB streams contain NUL bytes.
+    auto text = ReadFileBytes(stream_path);
+    if (!text.ok()) {
+      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
+      return 1;
     }
+    stream_text = std::move(text).ValueOrDie();
+  }
+  if (format_auto && !file_feeder) {
+    options.ingest_format = DetectStreamFormat(stream_text);
   }
   const bool binary = options.ingest_format == StreamFormat::kBinary;
 
@@ -348,14 +333,6 @@ int main(int argc, char** argv) {
                    "--serve is incompatible with --gcore, --query, --slack, "
                    "--async-ingest, --parsers, and checkpointing\n");
       return 2;
-    }
-    if (!stream_path.empty()) {
-      auto text = ReadFileBytes(stream_path);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 1;
-      }
-      stream_text = std::move(text).ValueOrDie();
     }
     auto stream = binary ? ParseStreamBinary(stream_text, &vocab)
                          : ParseStreamCsv(stream_text, &vocab);
@@ -414,27 +391,14 @@ int main(int argc, char** argv) {
     // stream file never materializes — it feeds the pipeline through the
     // bounded chunk feeder below.
     options.ingest_slack = slack;
-  } else {
-    // Synchronous paths deliver per element (printing as results appear),
-    // so they materialize the file first.
-    if (!stream_path.empty()) {
-      // Binary-safe buffered read: SGQB streams contain NUL bytes.
-      auto text = ReadFileBytes(stream_path);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-        return 1;
-      }
-      stream_text = std::move(text).ValueOrDie();
-    }
-    if (slack == 0) {
-      stream = binary ? ParseStreamBinary(stream_text, &vocab)
-                      : ParseStreamCsv(stream_text, &vocab);
-      if (!stream.ok()) {
-        std::fprintf(stderr,
-                     "stream: %s (out-of-order input? try --slack N)\n",
-                     stream.status().ToString().c_str());
-        return 1;
-      }
+  } else if (slack == 0) {
+    stream = binary ? ParseStreamBinary(stream_text, &vocab)
+                    : ParseStreamCsv(stream_text, &vocab);
+    if (!stream.ok()) {
+      std::fprintf(stderr,
+                   "stream: %s (out-of-order input? try --slack N)\n",
+                   stream.status().ToString().c_str());
+      return 1;
     }
   }
 
@@ -536,7 +500,6 @@ int main(int argc, char** argv) {
     }
   };
 
-  const char* file_mode_name = nullptr;  // set when a file feeds the pipeline
   Stopwatch timer;
   // In checkpoint mode the sink accumulates and everything prints after
   // the stream drains: the full result stream is part of every snapshot,
@@ -576,22 +539,24 @@ int main(int argc, char** argv) {
     // merge), overlapped with execution; results materialize when the
     // stream drains. With --slack the cursors tolerate disorder and the
     // pipeline's reorder stage restores timestamp order. A stream file is
-    // served through the bounded readahead window (--mmap/--no-mmap) so
-    // it never materializes; the demo stream chunks in memory.
+    // mapped and served through the bounded readahead window so it never
+    // materializes; the demo stream chunks in memory.
     const std::size_t min_chunks =
         options.ingest_parsers > 1 ? options.ingest_parsers * 2 : 1;
     std::unique_ptr<FileChunkSource> file_source;
     std::unique_ptr<ChunkedStream> mem_source;
     const ChunkedStream* chunks = nullptr;
-    if (!stream_path.empty()) {
+    if (file_feeder) {
       FileChunkOptions fco;
-      fco.mode = options.ingest_file_mode;
       fco.allow_disorder = slack > 0;
       fco.min_chunks = min_chunks;
       fco.readahead_chunks = std::max(options.ingest_readahead_chunks,
                                       options.ingest_parsers + 1);
-      auto source = MakeFileChunkSource(stream_path, options.ingest_format,
-                                        &vocab, fco);
+      auto source =
+          format_auto
+              ? MakeFileChunkSource(stream_path, &vocab, fco)
+              : MakeFileChunkSource(stream_path, options.ingest_format,
+                                    &vocab, fco);
       if (!source.ok()) {
         std::fprintf(stderr, "stream: %s\n",
                      source.status().ToString().c_str());
@@ -599,9 +564,6 @@ int main(int argc, char** argv) {
       }
       file_source = std::move(source).ValueOrDie();
       chunks = file_source.get();
-      file_mode_name = file_source->mode() == FileIngestMode::kMmap
-                           ? "mmap"
-                           : "buffered";
     } else {
       auto chunked = MakeChunkedStream(stream_text, options.ingest_format,
                                        &vocab,
@@ -724,9 +686,9 @@ int main(int argc, char** argv) {
                  "exec stall %.3f ms\n",
                  ingest.batches, ingest.ingest_stall_ns / 1e6,
                  ingest.exec_stall_ns / 1e6);
-    if (file_mode_name != nullptr) {
-      std::fprintf(stderr, "file ingest (%s): readahead stall %.3f ms\n",
-                   file_mode_name, ingest.readahead_stall_ns / 1e6);
+    if (file_feeder) {
+      std::fprintf(stderr, "file ingest: readahead stall %.3f ms\n",
+                   ingest.readahead_stall_ns / 1e6);
     }
     if (ingest.parsers > 1) {
       std::fprintf(stderr,

@@ -4,7 +4,7 @@
 Each bench binary emits one JSON object per line on stdout (see
 bench/bench_*.cc); committed reference numbers live in bench/baselines/.
 This script matches rows by their identity keys (bench, workload, workers,
-batch, queries, sharing, async, pin, format, parsers, index, file_mode)
+batch, queries, sharing, async, pin, format, parsers)
 and reports throughput / tail-latency ratios.
 
 Rows also record the CPU count of the recording box ("cpus") as a fact,
@@ -48,8 +48,7 @@ import json
 import sys
 
 IDENTITY_KEYS = ("bench", "workload", "workers", "batch", "queries",
-                 "sharing", "async", "pin", "format", "parsers", "index",
-                 "file_mode")
+                 "sharing", "async", "pin", "format", "parsers")
 # Higher is better / lower is better metrics, with their soft thresholds.
 HIGHER_BETTER = {"tuples_per_sec": 0.8, "parse_tuples_per_sec": 0.8}
 # ops_touched_per_edge is near-deterministic (driver-side dispatch counts,

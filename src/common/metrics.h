@@ -145,7 +145,7 @@ struct RunMetrics {
   std::vector<uint64_t> parser_stall_ns;
   uint64_t parse_busy_ns = 0;
   /// File-backed ingest only (workload/harness.h RunSgaFile): summed
-  /// nanoseconds parser threads spent inside the chunk feeder — pread /
+  /// nanoseconds parser threads spent inside the chunk feeder — page-in /
   /// boundary-scan time plus readahead-window backpressure. 0 for
   /// in-memory streams.
   uint64_t readahead_stall_ns = 0;
@@ -153,7 +153,7 @@ struct RunMetrics {
   /// operator activations the run actually paid (OnSge deliveries,
   /// per-(operator, port) batch executions, time-advance / purge phases).
   /// index_skipped_dispatches: operator visits the query index pruned
-  /// relative to the legacy full-scan dispatch (0 with the index off).
+  /// relative to a full scan of the topology.
   std::size_t ops_touched = 0;
   std::size_t index_skipped_dispatches = 0;
   /// Checkpointing (core/engine.h Engine::Checkpoint): serialization time
@@ -164,8 +164,8 @@ struct RunMetrics {
   uint64_t checkpoint_bytes = 0;
 
   /// \brief Dispatch fanout actually paid per processed edge — stays
-  /// O(matching operators) with the query index on, grows O(registered
-  /// queries) under legacy broadcast phases; 0 when nothing was processed.
+  /// O(matching operators), not O(registered queries); 0 when nothing was
+  /// processed.
   double OpsTouchedPerEdge() const {
     return edges_processed > 0 ? static_cast<double>(ops_touched) /
                                      static_cast<double>(edges_processed)

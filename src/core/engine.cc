@@ -27,7 +27,6 @@ ExecutorOptions ToExecutorOptions(const EngineOptions& options) {
   exec_options.ingest_slack = options.ingest_slack;
   exec_options.ingest_parsers =
       options.ingest_parsers == 0 ? 1 : options.ingest_parsers;
-  exec_options.use_query_index = options.use_query_index;
   return exec_options;
 }
 
@@ -317,7 +316,9 @@ std::vector<std::pair<std::string, std::string>> Engine::IdentityKeys()
       {"cross_query_sharing", options_.cross_query_sharing ? "1" : "0"},
       {"time_advance_parallel_state_bar",
        std::to_string(options_.time_advance_parallel_state_bar)},
-      {"use_query_index", options_.use_query_index ? "1" : "0"},
+      // Dispatch always goes through the query index; the key stays so
+      // snapshots keep matching engines that still recorded the choice.
+      {"use_query_index", "1"},
   };
 }
 

@@ -124,28 +124,14 @@ struct EngineOptions {
   /// or the SGQB binary record format. Engine-level only — the executor
   /// sees decoded elements either way.
   StreamFormat ingest_format = StreamFormat::kCsv;
-  /// How file-backed ingest (workload/harness.h RunSgaFile, the CLI's
-  /// async path) maps stream bytes: mmap with sequential readahead where
-  /// available (kAuto), forced mmap, or portable buffered preads. Either
-  /// way the file is served through a bounded readahead window — peak
-  /// ingest-buffer memory is O(ingest_readahead_chunks · ~256 KB), not
-  /// O(file) — and the decoded element sequence is byte-identical to
-  /// materializing the file first (model/file_chunk_source.h).
-  FileIngestMode ingest_file_mode = FileIngestMode::kAuto;
-  /// Readahead window of file-backed ingest, in chunks: how many chunks
-  /// may be resolved but not yet retired at once. Clamped to at least
-  /// ingest_parsers + 1 by RunSgaFile so every parser can hold a chunk
-  /// while one more loads.
+  /// Readahead window of file-backed ingest (workload/harness.h
+  /// RunSgaFile, the CLI's async path), in chunks: how many chunks may be
+  /// resolved but not yet retired at once. Regular files are mmapped and
+  /// served through this window, so peak ingest-buffer memory is
+  /// O(ingest_readahead_chunks · ~256 KB), not O(file)
+  /// (model/file_chunk_source.h). Clamped to at least ingest_parsers + 1
+  /// by RunSgaFile so every parser can hold a chunk while one more loads.
   std::size_t ingest_readahead_chunks = 8;
-  /// Query-index dispatch (DESIGN.md §3.1): consult the label ->
-  /// posting-list discrimination index built at AddQuery compile time so
-  /// per-edge dispatch cost tracks the operators whose admission
-  /// predicate can match, not the registered-query population K. On (the
-  /// default) is byte-identical to off at num_workers=1/batch_size=1 and
-  /// snapshot-equivalent + deterministic sharded; off restores the legacy
-  /// full-scan dispatch (the `--no-query-index` escape hatch). Forwarded
-  /// to ExecutorOptions under the same name.
-  bool use_query_index = true;
 };
 
 /// \brief N persistent queries compiled onto one shared dataflow.

@@ -49,9 +49,8 @@ class PhysicalOp {
   /// the *direct* approach need no expiry processing (§6.2.4).
   ///
   /// CONTRACT: an operator that overrides this must also override
-  /// HasTimeDrivenWork() to return true. The indexed dispatch
-  /// (runtime/executor.h, use_query_index) skips the time-advance phase of
-  /// every operator that does not declare itself — exact only because
+  /// HasTimeDrivenWork() to return true. The executor's dispatch
+  /// (runtime/executor.h) skips the time-advance phase of every operator that does not declare itself — exact only because
   /// undeclared operators are guaranteed this base no-op.
   virtual void OnTimeAdvance(Timestamp now) { (void)now; }
 

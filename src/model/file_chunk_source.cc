@@ -33,8 +33,8 @@ std::string ErrnoText(int err) {
   return std::strerror(err);
 }
 
-/// \brief A cursor that is already dead: Next yields nothing and status()
-/// carries why (load failures, post-abort opens).
+/// \brief A cursor that is already dead (opened after Abort): Next yields
+/// nothing and status() carries why.
 class ErrorCursor : public StreamCursor {
  public:
   explicit ErrorCursor(Status status) : status_(std::move(status)) {}
@@ -73,25 +73,19 @@ class RetiringCursor : public StreamCursor {
 };
 
 #if defined(SGQ_FILE_SOURCE_POSIX)
-/// \brief pread() exactly `len` bytes at `off`, surviving short reads.
-Status PreadExact(int fd, char* dst, std::size_t len, std::uint64_t off,
-                  const std::string& path) {
-  while (len > 0) {
-    const ssize_t n = ::pread(fd, dst, len, static_cast<off_t>(off));
+/// \brief Reads `fd` to EOF into `out` (pipes and unmappable files).
+Status ReadAll(int fd, const std::string& path, std::string* out) {
+  char buffer[kStreamIoBufferBytes];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n == 0) return Status::OK();
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal("read error on stream file: " + path + ": " +
                               ErrnoText(errno));
     }
-    if (n == 0) {
-      return Status::Internal("read error on stream file: " + path +
-                              ": unexpected end of file");
-    }
-    dst += n;
-    len -= static_cast<std::size_t>(n);
-    off += static_cast<std::uint64_t>(n);
+    out->append(buffer, static_cast<std::size_t>(n));
   }
-  return Status::OK();
 }
 #endif
 
@@ -102,7 +96,6 @@ FileChunkSource::~FileChunkSource() {
   if (map_ != nullptr) {
     ::munmap(const_cast<char*>(map_), map_size_);
   }
-  if (fd_ >= 0) ::close(fd_);
 #endif
 }
 
@@ -118,23 +111,12 @@ void FileChunkSource::Abort() const {
 }
 
 FileChunkSource::LoadResult FileChunkSource::LoadChunk(
-    std::size_t k, std::uint64_t begin, std::string recycled) const {
+    std::size_t k, std::uint64_t begin) const {
   LoadResult r;
-  const std::uint64_t size = file_size_;
-  const std::size_t n = chunks_.size();
-
   if (format_ == StreamFormat::kBinary) {
     // Record-aligned boundaries were fixed arithmetically at
-    // construction; loading is pure byte transfer.
+    // construction; there is nothing to resolve.
     r.end = chunks_[k].end;
-    begin = chunks_[k].begin;
-    if (map_ != nullptr || materialized_) return r;
-#if defined(SGQ_FILE_SOURCE_POSIX)
-    r.buffer = std::move(recycled);
-    r.buffer.resize(static_cast<std::size_t>(r.end - begin));
-    r.status = PreadExact(fd_, r.buffer.data(), r.buffer.size(), begin,
-                          path_);
-#endif
     return r;
   }
 
@@ -142,7 +124,10 @@ FileChunkSource::LoadResult FileChunkSource::LoadChunk(
   // size*(k+1)/n, extended to the first newline at or after it; a chunk
   // whose ideal boundary fell behind its begin collapses to empty (the
   // newline ending the previous chunk is also the first at/after this
-  // ideal boundary — boundaries are monotone).
+  // ideal boundary — boundaries are monotone). The scan touches the bytes
+  // directly: this is the sequential page-in mmap readahead runs ahead of.
+  const std::uint64_t size = file_size_;
+  const std::size_t n = chunks_.size();
   const std::uint64_t ideal =
       (k + 1 == n) ? size
                    : (size * static_cast<std::uint64_t>(k + 1)) / n;
@@ -150,101 +135,23 @@ FileChunkSource::LoadResult FileChunkSource::LoadChunk(
     r.end = begin;
     return r;
   }
-
-  const char* base = materialized_ ? owned_.data() : map_;
-  if (base != nullptr) {
-    // Mapped/materialized: boundary scan directly over the bytes (this
-    // touch is the sequential page-in mmap readahead runs ahead of).
-    std::uint64_t end = size;
-    if (k + 1 < n) {
-      const char* nl = static_cast<const char*>(std::memchr(
-          base + ideal, '\n', static_cast<std::size_t>(size - ideal)));
-      end = (nl == nullptr) ? size
-                            : static_cast<std::uint64_t>(nl - base) + 1;
-    }
-    end = std::max(end, begin);
-    r.end = end;
-    r.newlines = static_cast<std::size_t>(
-        std::count(base + begin, base + end, '\n'));
-    return r;
-  }
-
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  // Buffered: read [begin, ideal), then extend block-by-block until the
-  // boundary newline (or EOF). Every byte is read exactly once — the next
-  // chunk starts its own pread at this chunk's end.
-  r.buffer = std::move(recycled);
-  r.buffer.clear();
-  const std::size_t head = static_cast<std::size_t>(ideal - begin);
-  r.buffer.resize(head);
-  if (head > 0) {
-    r.status = PreadExact(fd_, r.buffer.data(), head, begin, path_);
-    if (!r.status.ok()) return r;
-  }
-  std::uint64_t cur = ideal;
+  const char* base = bytes();
   std::uint64_t end = size;
-  bool found = (k + 1 == n);
-  while (!found && cur < size) {
-    const std::size_t block = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kStreamIoBufferBytes, size - cur));
-    const std::size_t at = r.buffer.size();
-    r.buffer.resize(at + block);
-    r.status = PreadExact(fd_, r.buffer.data() + at, block, cur, path_);
-    if (!r.status.ok()) return r;
-    const char* nl = static_cast<const char*>(
-        std::memchr(r.buffer.data() + at, '\n', block));
-    if (nl != nullptr) {
-      end = cur + static_cast<std::uint64_t>(nl - (r.buffer.data() + at)) +
-            1;
-      found = true;
-    }
-    cur += block;
+  if (k + 1 < n) {
+    const char* nl = static_cast<const char*>(std::memchr(
+        base + ideal, '\n', static_cast<std::size_t>(size - ideal)));
+    end = (nl == nullptr) ? size : static_cast<std::uint64_t>(nl - base) + 1;
   }
-  if (found && end < size) {
-    r.buffer.resize(static_cast<std::size_t>(end - begin));
-  } else {
-    // Final chunk, boundary newline on the last byte, or no boundary
-    // newline at all: the chunk runs to EOF; read whatever the head/scan
-    // loop did not cover yet.
-    end = size;
-    const std::size_t have = r.buffer.size();
-    const std::size_t want = static_cast<std::size_t>(end - begin);
-    if (have < want) {
-      r.buffer.resize(want);
-      r.status = PreadExact(fd_, r.buffer.data() + have, want - have,
-                            begin + have, path_);
-      if (!r.status.ok()) return r;
-    }
-  }
-  r.end = std::max(end, begin);
-  r.newlines = static_cast<std::size_t>(
-      std::count(r.buffer.begin(), r.buffer.end(), '\n'));
+  end = std::max(end, begin);
+  r.end = end;
+  r.newlines =
+      static_cast<std::size_t>(std::count(base + begin, base + end, '\n'));
   return r;
-#else
-  r.status = Status::Internal("file chunk source: no read path");
-  return r;
-#endif
-}
-
-Status FileChunkSource::ReloadChunk(ChunkState* c) const {
-  if (map_ != nullptr || materialized_) return Status::OK();
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  c->buffer.resize(static_cast<std::size_t>(c->end - c->begin));
-  return PreadExact(fd_, c->buffer.data(), c->buffer.size(), c->begin,
-                    path_);
-#else
-  return Status::Internal("file chunk source: no read path");
-#endif
 }
 
 std::unique_ptr<StreamCursor> FileChunkSource::MakeChunkCursor(
     const ChunkState& c) const {
-  const char* base = materialized_ ? owned_.data()
-                     : map_ != nullptr ? map_
-                                       : c.buffer.data();
-  const std::uint64_t view_begin =
-      (map_ != nullptr || materialized_) ? c.begin : 0;
-  const std::string_view view(base + view_begin,
+  const std::string_view view(bytes() + c.begin,
                               static_cast<std::size_t>(c.end - c.begin));
   if (format_ == StreamFormat::kBinary) {
     return std::make_unique<BinaryStreamCursor>(
@@ -267,10 +174,6 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
             Status::Internal("file chunk feeder aborted"));
         break;
       }
-      if (!feeder_error_.ok() && i >= failed_chunk_) {
-        out = std::make_unique<ErrorCursor>(feeder_error_);
-        break;
-      }
       ChunkState& c = chunks_[i];
       if (c.phase == ChunkPhase::kLoaded) {
         ++c.opens;
@@ -280,29 +183,14 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
       }
       if (c.phase == ChunkPhase::kRetired) {
         // Reopening a retired chunk (tests, never the pipeline): the
-        // boundary is known, only the bytes may need re-reading. Counts
-        // against the window high-water mark but does not wait for a
-        // slot — a reopened chunk must not deadlock a full window.
-        c.phase = ChunkPhase::kLoading;
-        lock.unlock();
-        Status reloaded = ReloadChunk(&c);
-        lock.lock();
-        if (!reloaded.ok()) {
-          c.phase = ChunkPhase::kRetired;
-          cv_.notify_all();
-          out = std::make_unique<ErrorCursor>(std::move(reloaded));
-          break;
-        }
+        // boundary is known and the bytes are still mapped or resident.
+        // Counts against the window high-water mark but does not wait for
+        // a slot — a reopened chunk must not deadlock a full window.
         c.phase = ChunkPhase::kLoaded;
         ++resident_;
         resident_bytes_ += c.end - c.begin;
         peak_resident_bytes_ =
             std::max(peak_resident_bytes_, resident_bytes_);
-        cv_.notify_all();
-        continue;
-      }
-      if (c.phase == ChunkPhase::kLoading) {
-        cv_.wait(lock);
         continue;
       }
       // Unresolved: resolution is strictly sequential and windowed.
@@ -313,38 +201,24 @@ std::unique_ptr<StreamCursor> FileChunkSource::OpenChunk(
       const std::size_t k = next_unresolved_;
       const std::uint64_t begin =
           format_ == StreamFormat::kBinary ? chunks_[k].begin : next_begin_;
-      std::string recycled;
-      if (!free_buffers_.empty()) {
-        recycled = std::move(free_buffers_.back());
-        free_buffers_.pop_back();
-      }
       resolving_ = true;
       lock.unlock();
-      LoadResult r = LoadChunk(k, begin, std::move(recycled));
+      const LoadResult r = LoadChunk(k, begin);
       lock.lock();
       resolving_ = false;
-      if (!r.status.ok()) {
-        if (feeder_error_.ok()) {
-          feeder_error_ = std::move(r.status);
-          failed_chunk_ = k;
-        }
-      } else {
-        ChunkState& loaded = chunks_[k];
-        if (format_ != StreamFormat::kBinary) {
-          loaded.begin = begin;
-          loaded.end = r.end;
-          loaded.base_line = lines_so_far_;
-          next_begin_ = r.end;
-          lines_so_far_ += r.newlines;
-        }
-        loaded.buffer = std::move(r.buffer);
-        loaded.phase = ChunkPhase::kLoaded;
-        next_unresolved_ = k + 1;
-        ++resident_;
-        resident_bytes_ += loaded.end - loaded.begin;
-        peak_resident_bytes_ =
-            std::max(peak_resident_bytes_, resident_bytes_);
+      ChunkState& loaded = chunks_[k];
+      if (format_ != StreamFormat::kBinary) {
+        loaded.begin = begin;
+        loaded.end = r.end;
+        loaded.base_line = lines_so_far_;
+        next_begin_ = r.end;
+        lines_so_far_ += r.newlines;
       }
+      loaded.phase = ChunkPhase::kLoaded;
+      next_unresolved_ = k + 1;
+      ++resident_;
+      resident_bytes_ += loaded.end - loaded.begin;
+      peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
       cv_.notify_all();
     }
   }
@@ -360,10 +234,6 @@ void FileChunkSource::RetireChunk(std::size_t i) const {
   c.phase = ChunkPhase::kRetired;
   --resident_;
   resident_bytes_ -= c.end - c.begin;
-  if (!c.buffer.empty()) {
-    free_buffers_.push_back(std::move(c.buffer));
-    c.buffer = std::string();
-  }
 #if defined(SGQ_FILE_SOURCE_POSIX)
   if (map_ != nullptr && c.end > c.begin) {
     // Return the chunk's pages to the kernel so the mapping's resident
@@ -382,32 +252,10 @@ void FileChunkSource::RetireChunk(std::size_t i) const {
   cv_.notify_all();
 }
 
-Result<StreamFormat> DetectStreamFileFormat(const std::string& path) {
-#if defined(SGQ_FILE_SOURCE_POSIX)
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return Status::InvalidArgument("cannot open stream file: " + path +
-                                   ": is a directory");
-  }
-#endif
-  errno = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open stream file: " + path + ": " +
-                            ErrnoText(errno));
-  }
-  char magic[sizeof(kBinaryStreamMagic)] = {0};
-  const std::size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return DetectStreamFormat(std::string_view(magic, n));
-}
-
-Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
-    const std::string& path, StreamFormat format, Vocabulary* vocab,
+Result<std::unique_ptr<FileChunkSource>> OpenFileChunkSource(
+    const std::string& path, const StreamFormat* format, Vocabulary* vocab,
     const FileChunkOptions& options) {
   auto source = std::unique_ptr<FileChunkSource>(new FileChunkSource());
-  source->path_ = path;
-  source->format_ = format;
   source->vocab_ = vocab;
   source->allow_disorder_ = options.allow_disorder;
   source->window_ = std::max<std::size_t>(options.readahead_chunks, 2);
@@ -419,114 +267,55 @@ Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
                                    ": is a directory");
   }
   errno = 0;
-  source->fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (source->fd_ < 0) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("cannot open stream file: " + path + ": " +
                             ErrnoText(errno));
   }
-  if (::fstat(source->fd_, &st) != 0) {
-    return Status::Internal("read error on stream file: " + path + ": " +
-                            ErrnoText(errno));
-  }
-  if (!S_ISREG(st.st_mode)) {
-    // Pipes and other non-seekable inputs cannot be windowed (chunk
-    // count needs the total size up front): degrade to a resident
-    // buffer. Forced mmap has nothing to map.
-    if (options.mode == FileIngestMode::kMmap) {
-      return Status::InvalidArgument(
-          "cannot mmap non-regular stream file: " + path);
-    }
-    SGQ_ASSIGN_OR_RETURN(source->owned_, ReadFileBytes(path));
-    source->materialized_ = true;
-    source->mode_ = FileIngestMode::kBuffered;
-    source->file_size_ = source->owned_.size();
-  } else {
-    source->file_size_ = static_cast<std::uint64_t>(st.st_size);
-    const bool want_mmap = options.mode != FileIngestMode::kBuffered;
-    if (want_mmap && source->file_size_ > 0) {
-      void* map = ::mmap(nullptr,
-                         static_cast<std::size_t>(source->file_size_),
-                         PROT_READ, MAP_PRIVATE, source->fd_, 0);
-      if (map != MAP_FAILED) {
-        source->map_ = static_cast<const char*>(map);
-        source->map_size_ = static_cast<std::size_t>(source->file_size_);
-        source->mode_ = FileIngestMode::kMmap;
-        ::madvise(map, source->map_size_, MADV_SEQUENTIAL);
-      } else if (options.mode == FileIngestMode::kMmap) {
-        return Status::Internal("cannot mmap stream file: " + path + ": " +
-                                ErrnoText(errno));
-      }
-    }
-    if (source->map_ == nullptr) {
-      if (source->file_size_ == 0) {
-        // Empty file: nothing to map or window.
-        source->materialized_ = true;
-      }
-      source->mode_ = FileIngestMode::kBuffered;
+  Status status = Status::OK();
+  if (::fstat(fd, &st) != 0) {
+    status = Status::Internal("read error on stream file: " + path +
+                              ": " + ErrnoText(errno));
+  } else if (S_ISREG(st.st_mode) && st.st_size > 0) {
+    const auto size = static_cast<std::size_t>(st.st_size);
+    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      source->map_ = static_cast<const char*>(map);
+      source->map_size_ = size;
+      ::madvise(map, size, MADV_SEQUENTIAL);
     }
   }
+  // Pipes and other non-seekable inputs cannot be windowed (the chunk
+  // count needs the total size up front), and empty files or a failed
+  // mmap have nothing mapped: read the one open descriptor into a
+  // resident buffer.
+  if (status.ok() && source->map_ == nullptr) {
+    status = ReadAll(fd, path, &source->owned_);
+  }
+  ::close(fd);  // a mapping outlives its descriptor
+  SGQ_RETURN_NOT_OK(status);
 #else
-  // No mmap/pread on this platform: materialize (the chunk contract and
-  // error text still match; only the memory bound degrades, and only
-  // here).
-  if (options.mode == FileIngestMode::kMmap) {
-    return Status::Unsupported("mmap ingest is unsupported on this platform");
-  }
+  // No mmap on this platform: read the file into a resident buffer (the
+  // chunk contract and error text still match; only the memory bound
+  // degrades, and only here).
   SGQ_ASSIGN_OR_RETURN(source->owned_, ReadFileBytes(path));
-  source->materialized_ = true;
-  source->mode_ = FileIngestMode::kBuffered;
-  source->file_size_ = source->owned_.size();
 #endif
-  if (source->materialized_) {
+  if (source->map_ != nullptr) {
+    source->file_size_ = source->map_size_;
+  } else {
+    source->file_size_ = source->owned_.size();
     source->peak_resident_bytes_ = source->owned_.size();
   }
+  const std::string_view all(source->bytes(),
+                             static_cast<std::size_t>(source->file_size_));
+  source->format_ = format != nullptr ? *format : DetectStreamFormat(all);
 
   std::size_t num_chunks;
-  if (format == StreamFormat::kBinary) {
-    // Parse the header once, up front (deterministic interning). Mapped
-    // and materialized sources parse in place; buffered sources read a
-    // growing prefix until the dictionaries fit.
-    BinaryStreamHeader parsed;
-    if (source->map_ != nullptr || source->materialized_) {
-      const char* base =
-          source->materialized_ ? source->owned_.data() : source->map_;
-      SGQ_ASSIGN_OR_RETURN(
-          parsed,
-          ParseBinaryStreamHeader(
-              std::string_view(
-                  base, static_cast<std::size_t>(source->file_size_)),
-              vocab));
-    } else {
-#if defined(SGQ_FILE_SOURCE_POSIX)
-      std::string prefix;
-      std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(
-          source->file_size_, 2 * kStreamIoBufferBytes));
-      for (;;) {
-        prefix.resize(want);
-        SGQ_RETURN_NOT_OK(
-            PreadExact(source->fd_, prefix.data(), want, 0, path));
-        Result<BinaryStreamHeader> header = ParseBinaryStreamHeaderPrefix(
-            prefix, source->file_size_, vocab);
-        if (header.ok()) {
-          parsed = std::move(header).ValueOrDie();
-          break;
-        }
-        // Grow only while the dictionaries extend past the prefix; any
-        // other failure (bad magic, bad version, bad counts) is final
-        // and already matches the whole-buffer parse's text.
-        const bool truncated =
-            header.status().message().find("truncated header") !=
-            std::string::npos;
-        if (!truncated || want >= source->file_size_) {
-          return header.status();
-        }
-        want = static_cast<std::size_t>(std::min<std::uint64_t>(
-            source->file_size_, static_cast<std::uint64_t>(want) * 4));
-      }
-#else
-      return Status::Internal("file chunk source: no read path");
-#endif
-    }
+  if (source->format_ == StreamFormat::kBinary) {
+    // Parse the header once, up front and in place (deterministic
+    // interning).
+    SGQ_ASSIGN_OR_RETURN(BinaryStreamHeader parsed,
+                         ParseBinaryStreamHeader(all, vocab));
     const std::uint64_t records = parsed.num_records;
     const std::uint64_t records_offset = parsed.records_offset;
     source->header_ =
@@ -553,6 +342,18 @@ Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
     source->chunks_.resize(num_chunks);
   }
   return source;
+}
+
+Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
+    const std::string& path, StreamFormat format, Vocabulary* vocab,
+    const FileChunkOptions& options) {
+  return OpenFileChunkSource(path, &format, vocab, options);
+}
+
+Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
+    const std::string& path, Vocabulary* vocab,
+    const FileChunkOptions& options) {
+  return OpenFileChunkSource(path, nullptr, vocab, options);
 }
 
 }  // namespace sgq

@@ -3,14 +3,12 @@
 // through a sliding readahead window of W chunks, instead of
 // materializing the whole file first (ReadFileBytes + MakeChunkedStream).
 //
-// Two serving modes behind one contract (FileIngestMode):
-//  - mmap: the file is mapped read-only with MADV_SEQUENTIAL and chunk
-//    cursors decode zero-copy views into the mapping; retiring a chunk
-//    MADV_DONTNEEDs its pages, so the resident set slides with the
-//    window;
-//  - buffered: chunks are pread() into a recycled buffer pool (the
-//    portable fallback — also what non-mmap platforms get), at most W
-//    buffers live at once.
+// A regular file is mapped read-only with MADV_SEQUENTIAL and chunk
+// cursors decode zero-copy views into the mapping; retiring a chunk
+// MADV_DONTNEEDs its pages, so the resident set slides with the window.
+// Inputs that cannot be mapped — pipes, empty files, a failed mmap,
+// non-POSIX builds — are read once into a resident buffer and served
+// through the same chunk contract (only the memory bound degrades).
 //
 // Chunk boundaries are resolved lazily but *sequentially* (CSV newline
 // alignment and global line numbers depend on every preceding byte), by
@@ -58,8 +56,6 @@ namespace sgq {
 
 /// \brief Knobs of a file-backed chunk source.
 struct FileChunkOptions {
-  /// Serving mode; kAuto picks mmap where available.
-  FileIngestMode mode = FileIngestMode::kAuto;
   /// Lift the per-chunk non-decreasing-timestamp check (reorder-slack
   /// consumers re-validate downstream), like MakeChunkedStream.
   bool allow_disorder = false;
@@ -67,14 +63,10 @@ struct FileChunkOptions {
   /// MakeChunkedStream.
   std::size_t min_chunks = 1;
   /// Readahead window W: chunks resolved but not yet retired at once.
-  /// Clamped to >= 2 so resolution can overlap one parse. Peak
-  /// ingest-buffer memory is O(W · ~256 KB).
+  /// Clamped to >= 2 so resolution can overlap one parse. Peak resident
+  /// mapped bytes are O(W · ~256 KB).
   std::size_t readahead_chunks = 8;
 };
-
-/// \brief Sniffs a stream file's format from its first bytes (SGQB magic
-/// vs CSV) without materializing the file.
-Result<StreamFormat> DetectStreamFileFormat(const std::string& path);
 
 /// \brief Windowed file-backed ChunkedStream; construct through
 /// MakeFileChunkSource. Thread-safe like every ChunkedStream, plus the
@@ -94,10 +86,6 @@ class FileChunkSource : public ChunkedStream {
     return stall_ns_.load(std::memory_order_relaxed);
   }
 
-  /// \brief The serving mode actually in effect (kAuto resolved; pipes
-  /// and empty files degrade to a resident buffer reported as kBuffered).
-  FileIngestMode mode() const { return mode_; }
-
   /// \brief Total stream bytes on disk.
   std::uint64_t file_size() const { return file_size_; }
 
@@ -110,13 +98,12 @@ class FileChunkSource : public ChunkedStream {
   std::uint64_t peak_resident_bytes() const;
 
  private:
-  friend Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
-      const std::string& path, StreamFormat format, Vocabulary* vocab,
+  friend Result<std::unique_ptr<FileChunkSource>> OpenFileChunkSource(
+      const std::string& path, const StreamFormat* format, Vocabulary* vocab,
       const FileChunkOptions& options);
 
   enum class ChunkPhase : std::uint8_t {
-    kUnresolved,  ///< boundary/bytes not produced yet
-    kLoading,     ///< a thread is reloading a retired chunk
+    kUnresolved,  ///< boundary not resolved yet
     kLoaded,      ///< resident: cursor views are valid
     kRetired,     ///< was resident, window slot released
   };
@@ -127,27 +114,24 @@ class FileChunkSource : public ChunkedStream {
     std::size_t base_line = 0;     ///< CSV: lines preceding `begin`
     ChunkPhase phase = ChunkPhase::kUnresolved;
     int opens = 0;                 ///< live cursors over this chunk
-    std::string buffer;            ///< buffered mode: resident bytes
   };
 
   /// \brief What LoadChunk produced off-lock.
   struct LoadResult {
-    Status status = Status::OK();
     std::uint64_t end = 0;         ///< resolved end (CSV boundary scan)
     std::size_t newlines = 0;      ///< CSV: '\n' count in [begin, end)
-    std::string buffer;            ///< buffered mode: the chunk's bytes
   };
 
   FileChunkSource() = default;
 
-  /// \brief Resolves chunk `k`'s boundary and loads its bytes. Runs
-  /// without the lock (`mu_` protects only the application of results).
-  LoadResult LoadChunk(std::size_t k, std::uint64_t begin,
-                       std::string recycled) const;
+  /// \brief The stream bytes: the mapping, or the resident buffer.
+  const char* bytes() const {
+    return map_ != nullptr ? map_ : owned_.data();
+  }
 
-  /// \brief Re-loads a retired chunk's bytes (buffered mode) — rare,
-  /// test-only reopening; boundary already known.
-  Status ReloadChunk(ChunkState* c) const;
+  /// \brief Resolves chunk `k`'s boundary, paging its bytes in. Runs
+  /// without the lock (`mu_` protects only the application of results).
+  LoadResult LoadChunk(std::size_t k, std::uint64_t begin) const;
 
   /// \brief Cursor-destruction callback: releases the chunk's window
   /// slot once every cursor over it is gone.
@@ -155,19 +139,15 @@ class FileChunkSource : public ChunkedStream {
 
   std::unique_ptr<StreamCursor> MakeChunkCursor(const ChunkState& c) const;
 
-  std::string path_;
   StreamFormat format_ = StreamFormat::kCsv;
-  FileIngestMode mode_ = FileIngestMode::kBuffered;
   Vocabulary* vocab_ = nullptr;
   bool allow_disorder_ = false;
   std::size_t window_ = 2;
   std::uint64_t file_size_ = 0;
 
-  int fd_ = -1;                       ///< POSIX read handle (buffered/mmap)
-  const char* map_ = nullptr;         ///< mmap base (mmap mode)
+  const char* map_ = nullptr;         ///< mmap base (regular files)
   std::size_t map_size_ = 0;
-  std::string owned_;                 ///< materialize fallback (pipes/empty)
-  bool materialized_ = false;
+  std::string owned_;                 ///< resident fallback (pipes/empty)
 
   std::shared_ptr<const BinaryStreamHeader> header_;  ///< binary only
 
@@ -180,23 +160,26 @@ class FileChunkSource : public ChunkedStream {
   mutable std::size_t resident_ = 0;       ///< loaded (unretired) chunks
   mutable bool resolving_ = false;         ///< a thread is off-lock in I/O
   mutable bool aborted_ = false;
-  mutable Status feeder_error_ = Status::OK();  ///< sticky load failure
-  mutable std::size_t failed_chunk_ = 0;   ///< first chunk the error hit
-  mutable std::vector<std::string> free_buffers_;  ///< buffered recycle pool
   mutable std::uint64_t resident_bytes_ = 0;
   mutable std::uint64_t peak_resident_bytes_ = 0;
   mutable std::atomic<std::uint64_t> stall_ns_{0};
 };
 
-/// \brief Opens `path` as a windowed chunk source for `format` (no
-/// sniffing — pair with DetectStreamFileFormat). Binary headers parse
-/// here, once, deterministically (buffered mode reads a growing prefix
-/// until the dictionaries fit; mmap parses in place); CSV defers all
-/// boundary work to the lazy window. Errors: missing file / directory /
-/// unreadable input, and binary header errors — identical text to the
-/// materialized MakeChunkedStream path.
+/// \brief Opens `path` as a windowed chunk source for `format`. The file
+/// is opened exactly once. Binary headers parse here, once,
+/// deterministically, in place; CSV defers all boundary work to the lazy
+/// window. Errors: missing file / directory / unreadable input, and
+/// binary header errors — identical text to the materialized
+/// MakeChunkedStream path.
 Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
     const std::string& path, StreamFormat format, Vocabulary* vocab,
+    const FileChunkOptions& options = {});
+
+/// \brief MakeFileChunkSource that sniffs the format (SGQB magic vs CSV,
+/// DetectStreamFormat) from the bytes it already holds — so a pipe is
+/// read once, not consumed by a separate probe.
+Result<std::unique_ptr<FileChunkSource>> MakeFileChunkSource(
+    const std::string& path, Vocabulary* vocab,
     const FileChunkOptions& options = {});
 
 }  // namespace sgq

@@ -243,11 +243,6 @@ std::string FormatStreamCsv(const InputStream& stream,
 
 Result<BinaryStreamHeader> ParseBinaryStreamHeader(std::string_view bytes,
                                                    Vocabulary* vocab) {
-  return ParseBinaryStreamHeaderPrefix(bytes, bytes.size(), vocab);
-}
-
-Result<BinaryStreamHeader> ParseBinaryStreamHeaderPrefix(
-    std::string_view bytes, std::uint64_t total_bytes, Vocabulary* vocab) {
   constexpr std::size_t kFixedHeader = 24;  // magic + version + counts
   if (bytes.size() < sizeof(kBinaryStreamMagic) ||
       std::memcmp(bytes.data(), kBinaryStreamMagic,
@@ -310,7 +305,7 @@ Result<BinaryStreamHeader> ParseBinaryStreamHeaderPrefix(
   }
   header.records_offset = off;
 
-  const std::uint64_t record_bytes = total_bytes - off;
+  const std::uint64_t record_bytes = bytes.size() - off;
   if (header.num_records > record_bytes / kBinaryRecordBytes) {
     return Status::ParseError(
         "binary stream: truncated records (header promises " +

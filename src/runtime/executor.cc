@@ -136,9 +136,6 @@ Status Executor::RegisterSource(LabelId label, OpId source, Timestamp slide) {
         "live-attached source slide " + std::to_string(slide) +
         " is finer than the running granularity " + std::to_string(slide_));
   }
-  // Both dispatch structures are maintained so use_query_index can flip
-  // without recompiling (the differential tests compare the two paths).
-  sources_[label].push_back(source);
   query_index_.Add(label, source);
   nodes_[static_cast<std::size_t>(source)].source_label = label;
   if (!finalized_) min_slide_ = std::min(min_slide_, slide);
@@ -162,7 +159,6 @@ Status Executor::RegisterWildcardSource(OpId source, Timestamp slide) {
         "live-attached source slide " + std::to_string(slide) +
         " is finer than the running granularity " + std::to_string(slide_));
   }
-  wildcard_sources_.push_back(source);
   query_index_.AddWildcard(source);
   nodes_[static_cast<std::size_t>(source)].source_wildcard = true;
   if (!finalized_) min_slide_ = std::min(min_slide_, slide);
@@ -234,7 +230,7 @@ Status Executor::Finalize() {
     pool_options.pin = options_.pin_workers;
     pool_ = std::make_unique<WorkerPool>(options_.num_workers, pool_options);
   }
-  // Time-advance phases fire per distinct input timestamp; the indexed
+  // Time-advance phases fire per distinct input timestamp; the
   // dispatch only visits operators that declared time-driven work (plus
   // the sharded state-bar promotions, kept in time_advance_hinted_).
   time_driven_ops_.clear();
@@ -287,7 +283,7 @@ Status Executor::FinalizeNewOps() {
     // The slide granularity is already fixed; the appended operators just
     // adopt it (RegisterSource refused finer slides). New ids are larger
     // than every existing one, so push_back keeps the ascending order the
-    // indexed time-advance wave merges by.
+    // time-advance wave merges by.
     for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
       instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
     }
@@ -321,16 +317,8 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
     // Source/index deregistration: surviving postings keep registration
     // order, so survivor dispatch is byte-identical to a never-added run.
     if (node.source_wildcard) {
-      erase_id(&wildcard_sources_, id);
       query_index_.RemoveWildcard(id);
     } else if (node.source_label != kInvalidLabel) {
-      auto it = sources_.find(node.source_label);
-      if (it != sources_.end()) {
-        erase_id(&it->second, id);
-        // An empty per-label entry must disappear entirely: its presence
-        // alone would count edges_processed for a label no query consumes.
-        if (it->second.empty()) sources_.erase(it);
-      }
       query_index_.Remove(node.source_label, id);
     }
     erase_id(&time_driven_ops_, id);
@@ -351,7 +339,6 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
     node.merge_coalescer = StreamingCoalescer();
     node.merge_retracted.clear();
     node.merge_purge_watermark = 1024;
-    node.time_advance_parallel = false;
     node.dirty = false;
     node.touched = false;
     node.source_label = kInvalidLabel;
@@ -431,12 +418,11 @@ void Executor::MarkTouchedCone(OpId id) {
 
 void Executor::Route(const OutputChannel& channel, const Sgt& tuple) {
   if (wave_mode()) {
-    const bool mark = indexed();
     for (const PortRef& dst : channel.dests_) {
       nodes_[static_cast<std::size_t>(dst.op)]
           .pending[static_cast<std::size_t>(dst.port)]
           .push_back(tuple);
-      if (mark) MarkDirty(dst.op);
+      MarkDirty(dst.op);
     }
     return;
   }
@@ -466,46 +452,28 @@ void Executor::DrainStack() {
 
 void Executor::RunWave() {
   ++num_waves_;
-  if (indexed()) {
-    // Worklist wave: pop dirty operators in ascending id order. A channel
-    // only goes low -> high id, so each pop sees all of the wave's input
-    // for that operator — identical visit order to the legacy full scan,
-    // minus the O(K) sweep over idle operators.
-    std::size_t visited = 0;
-    while (!dirty_heap_.empty()) {
-      std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                    std::greater<OpId>());
-      const OpId id = dirty_heap_.back();
-      dirty_heap_.pop_back();
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      node.dirty = false;
-      ++visited;
-      for (std::size_t port = 0; port < node.pending.size(); ++port) {
-        if (node.pending[port].empty()) continue;
-        ++ops_touched_;
-        std::vector<Sgt> batch;
-        batch.swap(node.pending[port]);
-        node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
-      }
-    }
-    index_skipped_ += nodes_.size() - visited;
-    return;
-  }
-  bool any = true;
-  while (any) {  // a tree topology settles in one pass; loop is a safety net
-    any = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      OpNode& node = nodes_[i];
-      for (std::size_t port = 0; port < node.pending.size(); ++port) {
-        if (node.pending[port].empty()) continue;
-        any = true;
-        ++ops_touched_;
-        std::vector<Sgt> batch;
-        batch.swap(node.pending[port]);
-        node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
-      }
+  // Worklist wave: pop dirty operators in ascending id order. A channel
+  // only goes low -> high id, so each pop sees all of the wave's input for
+  // that operator and one pass settles the wave, without an O(K) sweep
+  // over idle operators.
+  std::size_t visited = 0;
+  while (!dirty_heap_.empty()) {
+    std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
+                  std::greater<OpId>());
+    const OpId id = dirty_heap_.back();
+    dirty_heap_.pop_back();
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
+    node.dirty = false;
+    ++visited;
+    for (std::size_t port = 0; port < node.pending.size(); ++port) {
+      if (node.pending[port].empty()) continue;
+      ++ops_touched_;
+      std::vector<Sgt> batch;
+      batch.swap(node.pending[port]);
+      node.op->OnBatch(static_cast<int>(port), batch.data(), batch.size());
     }
   }
+  index_skipped_ += nodes_.size() - visited;
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +501,7 @@ void AppendByRouting(RoutingKey routing, const Sgt& tuple,
 void Executor::RouteToShards(const PortRef& dst, const Sgt& tuple) {
   // Driver thread only (MergeAndRoute runs after the parallel section), so
   // the dirty worklist needs no synchronization.
-  if (indexed()) MarkDirty(dst.op);
+  MarkDirty(dst.op);
   OpNode& dn = nodes_[static_cast<std::size_t>(dst.op)];
   auto& slots = dn.shard_pending[static_cast<std::size_t>(dst.port)];
   // Single-instance operators and coordination-needing operators receive
@@ -708,69 +676,39 @@ void Executor::RunShardedOpBatches(OpId id) {
 
 void Executor::RunShardedWave() {
   ++num_waves_;
-  if (indexed()) {
-    // Same pop-min worklist as RunWave: ascending pops + low -> high
-    // channels give the exact visit order of the legacy full scan.
-    std::size_t visited = 0;
-    while (!dirty_heap_.empty()) {
-      std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
-                    std::greater<OpId>());
-      const OpId id = dirty_heap_.back();
-      dirty_heap_.pop_back();
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      node.dirty = false;
-      ++visited;
-      bool has_input = false;
-      for (const auto& port : node.shard_pending) {
-        for (const auto& slot : port) {
-          if (!slot.empty()) {
-            has_input = true;
-            break;
-          }
-        }
-        if (has_input) break;
-      }
-      if (!has_input) continue;
-      ++ops_touched_;
-      for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
-        for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
-          node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
+  // Same pop-min worklist as RunWave.
+  std::size_t visited = 0;
+  while (!dirty_heap_.empty()) {
+    std::pop_heap(dirty_heap_.begin(), dirty_heap_.end(),
+                  std::greater<OpId>());
+    const OpId id = dirty_heap_.back();
+    dirty_heap_.pop_back();
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
+    node.dirty = false;
+    ++visited;
+    bool has_input = false;
+    for (const auto& port : node.shard_pending) {
+      for (const auto& slot : port) {
+        if (!slot.empty()) {
+          has_input = true;
+          break;
         }
       }
-      RunShardedOpBatches(id);
+      if (has_input) break;
     }
-    index_skipped_ += nodes_.size() - visited;
-    return;
-  }
-  bool any = true;
-  while (any) {  // a tree topology settles in one pass; loop is a safety net
-    any = false;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      OpNode& node = nodes_[i];
-      bool has_input = false;
-      for (const auto& port : node.shard_pending) {
-        for (const auto& slot : port) {
-          if (!slot.empty()) {
-            has_input = true;
-            break;
-          }
-        }
-        if (has_input) break;
+    if (!has_input) continue;
+    ++ops_touched_;
+    // Swap pending batches into the scratch (whose slots are empty but
+    // hold the previous wave's capacity) so buffers are reused instead of
+    // reallocated; emissions route into the now-empty pending slots.
+    for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
+      for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
+        node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
       }
-      if (!has_input) continue;
-      any = true;
-      ++ops_touched_;
-      // Swap pending batches into the scratch (whose slots are empty but
-      // hold the previous wave's capacity) so buffers are reused instead
-      // of reallocated; emissions route into the now-empty pending slots.
-      for (std::size_t p = 0; p < node.shard_pending.size(); ++p) {
-        for (std::size_t s = 0; s < node.shard_pending[p].size(); ++s) {
-          node.shard_scratch[p][s].swap(node.shard_pending[p][s]);
-        }
-      }
-      RunShardedOpBatches(static_cast<OpId>(i));
     }
+    RunShardedOpBatches(id);
   }
+  index_skipped_ += nodes_.size() - visited;
 }
 
 void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
@@ -787,32 +725,22 @@ void Executor::DeliverSgesSharded(const Sge* sges, std::size_t n) {
   };
   for (std::size_t k = 0; k < n; ++k) {
     const Sge& sge = sges[k];
-    if (indexed()) {
-      const auto* postings = query_index_.Find(sge.label);
-      const auto& wildcard = query_index_.wildcard();
-      if (postings == nullptr && wildcard.empty()) continue;
-      edges_processed_.Add();
-      if (postings != nullptr) {
-        for (const SourcePosting& p : *postings) append(p.op, sge);
-      }
-      for (const SourcePosting& p : wildcard) append(p.op, sge);
-    } else {
-      auto it = sources_.find(sge.label);
-      // Label not referenced by any query and no always-on source.
-      if (it == sources_.end() && wildcard_sources_.empty()) continue;
-      edges_processed_.Add();
-      if (it != sources_.end()) {
-        for (OpId source : it->second) append(source, sge);
-      }
-      for (OpId source : wildcard_sources_) append(source, sge);
+    const auto* postings = query_index_.Find(sge.label);
+    const auto& wildcard = query_index_.wildcard();
+    // Label not referenced by any query and no always-on source.
+    if (postings == nullptr && wildcard.empty()) continue;
+    edges_processed_.Add();
+    if (postings != nullptr) {
+      for (const SourcePosting& p : *postings) append(p.op, sge);
     }
+    for (const SourcePosting& p : wildcard) append(p.op, sge);
   }
   if (batches.empty()) return;
   // Scans are stateless interval maps: running them inline (in shard
   // order, into per-shard capture buffers) is cheaper than a pool
   // dispatch; the heavy lifting parallelizes downstream.
   for (const auto& [source, per_shard] : batches) {
-    if (indexed()) MarkTouchedCone(source);
+    MarkTouchedCone(source);
     ++ops_touched_;
     for (std::size_t s = 0; s < per_shard.size(); ++s) {
       if (per_shard[s].empty()) continue;
@@ -844,7 +772,7 @@ void Executor::RunOpPhase(Fn&& fn) {
 }
 
 void Executor::DeliverSgeToSource(const Sge& sge, OpId source) {
-  if (indexed()) MarkTouchedCone(source);
+  MarkTouchedCone(source);
   ++ops_touched_;
   auto* src = static_cast<SourceOp*>(
       nodes_[static_cast<std::size_t>(source)].op.get());
@@ -852,28 +780,17 @@ void Executor::DeliverSgeToSource(const Sge& sge, OpId source) {
 }
 
 void Executor::DeliverSge(const Sge& sge) {
-  // Both paths deliver in the same order — label-matched sources in
-  // registration order, then the wildcard bucket in registration order —
-  // so index on/off is byte-identical (see query_index.h).
-  if (indexed()) {
-    const auto* postings = query_index_.Find(sge.label);
-    const auto& wildcard = query_index_.wildcard();
-    if (postings == nullptr && wildcard.empty()) return;
-    edges_processed_.Add();
-    if (postings != nullptr) {
-      for (const SourcePosting& p : *postings) DeliverSgeToSource(sge, p.op);
-    }
-    for (const SourcePosting& p : wildcard) DeliverSgeToSource(sge, p.op);
-    return;
-  }
-  auto it = sources_.find(sge.label);
+  // Label-matched sources in registration order, then the wildcard bucket
+  // in registration order (the ordering contract in query_index.h).
+  const auto* postings = query_index_.Find(sge.label);
+  const auto& wildcard = query_index_.wildcard();
   // Label not referenced by any query and no always-on source.
-  if (it == sources_.end() && wildcard_sources_.empty()) return;
+  if (postings == nullptr && wildcard.empty()) return;
   edges_processed_.Add();
-  if (it != sources_.end()) {
-    for (OpId source : it->second) DeliverSgeToSource(sge, source);
+  if (postings != nullptr) {
+    for (const SourcePosting& p : *postings) DeliverSgeToSource(sge, p.op);
   }
-  for (OpId source : wildcard_sources_) DeliverSgeToSource(sge, source);
+  for (const SourcePosting& p : wildcard) DeliverSgeToSource(sge, p.op);
 }
 
 // ---------------------------------------------------------------------------
@@ -893,96 +810,61 @@ void Executor::UpdateTimeAdvanceHints() {
     OpNode& node = nodes_[i];
     if (node.op == nullptr) continue;  // removed (tombstoned) slot
     if (node.replicas.empty() || node.op->HasTimeDrivenWork()) continue;
-    if (indexed() && !node.touched) {
-      // Never received input: StateSize() is 0 on every shard, below any
-      // positive bar — skip the state walk entirely.
-      node.time_advance_parallel = false;
-      continue;
-    }
+    // Never received input: StateSize() is 0 on every shard, below any
+    // positive bar — skip the state walk entirely.
+    if (!node.touched) continue;
     bool hit = false;
     for (std::size_t s = 0; s < 1 + node.replicas.size() && !hit; ++s) {
       const PhysicalOp* op =
           s == 0 ? node.op.get() : node.replicas[s - 1].get();
       hit = op->StateSize() >= bar;
     }
-    node.time_advance_parallel = hit;
     if (hit) time_advance_hinted_.push_back(static_cast<OpId>(i));
   }
 }
 
 void Executor::TimeAdvanceWave(Timestamp now) {
+  // Only operators with declared time-driven work (plus, sharded, the
+  // state-bar promotions) can do anything in this phase: the base
+  // OnTimeAdvance is a no-op (core/physical.h contract), so skipping the
+  // rest is exact.
   if (sharded()) {
-    if (indexed()) {
-      // Only operators with declared time-driven work plus the state-bar
-      // promotions can do anything in this phase: the base OnTimeAdvance
-      // is a no-op (core/physical.h contract), so skipping the rest is
-      // exact. The two ascending lists are disjoint (UpdateTimeAdvanceHints
-      // excludes declared ops); merge them to keep the legacy visit order.
-      std::size_t a = 0;
-      std::size_t b = 0;
-      std::size_t visited = 0;
-      while (a < time_driven_ops_.size() ||
-             b < time_advance_hinted_.size()) {
-        bool declared;
-        OpId id;
-        if (b >= time_advance_hinted_.size() ||
-            (a < time_driven_ops_.size() &&
-             time_driven_ops_[a] < time_advance_hinted_[b])) {
-          id = time_driven_ops_[a++];
-          declared = true;
-        } else {
-          id = time_advance_hinted_[b++];
-          declared = false;
-        }
-        OpNode& node = nodes_[static_cast<std::size_t>(id)];
-        if (!declared && !node.replicas.empty()) ++state_bar_dispatches_;
-        ++ops_touched_;
-        ++visited;
-        RunInstances(id, /*parallel=*/true,
-                     [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
+    // The two ascending lists are disjoint (UpdateTimeAdvanceHints excludes
+    // declared ops); merge them to visit operators in id order.
+    std::size_t a = 0;
+    std::size_t b = 0;
+    std::size_t visited = 0;
+    while (a < time_driven_ops_.size() || b < time_advance_hinted_.size()) {
+      bool declared;
+      OpId id;
+      if (b >= time_advance_hinted_.size() ||
+          (a < time_driven_ops_.size() &&
+           time_driven_ops_[a] < time_advance_hinted_[b])) {
+        id = time_driven_ops_[a++];
+        declared = true;
+      } else {
+        id = time_advance_hinted_[b++];
+        declared = false;
       }
-      index_skipped_ += nodes_.size() - visited;
-      RunShardedWave();
-      return;
-    }
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      // Time advances fire per distinct timestamp; operators with heavy
-      // time-driven work (Δ-tree expiry) are always worth a pool
-      // dispatch, and so are operators whose shard state passed the
-      // boundary-evaluated bar (UpdateTimeAdvanceHints).
-      OpNode& node = nodes_[i];
-      if (node.op == nullptr) continue;  // removed (tombstoned) slot
-      const bool declared = node.op->HasTimeDrivenWork();
-      const bool parallel = declared || node.time_advance_parallel;
-      if (parallel && !declared && !node.replicas.empty()) {
-        ++state_bar_dispatches_;
-      }
+      OpNode& node = nodes_[static_cast<std::size_t>(id)];
+      if (!declared && !node.replicas.empty()) ++state_bar_dispatches_;
       ++ops_touched_;
-      RunInstances(static_cast<OpId>(i), parallel,
+      ++visited;
+      RunInstances(id, /*parallel=*/true,
                    [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
     }
+    index_skipped_ += nodes_.size() - visited;
     RunShardedWave();
-    return;
-  }
-  if (indexed()) {
-    // Skip operators without declared time-driven work — their
-    // OnTimeAdvance is the base no-op, so the skip is byte-exact.
-    for (OpId id : time_driven_ops_) {
-      ++ops_touched_;
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      RunOpPhase([&] { node.op->OnTimeAdvance(now); });
-    }
-    index_skipped_ += nodes_.size() - time_driven_ops_.size();
-    if (wave_mode()) RunWave();
     return;
   }
   // Negative-tuple operators can emit retractions/re-derivations during
   // OnTimeAdvance; RunOpPhase delivers them downstream.
-  for (auto& node : nodes_) {
-    if (node.op == nullptr) continue;  // removed (tombstoned) slot
+  for (OpId id : time_driven_ops_) {
     ++ops_touched_;
+    OpNode& node = nodes_[static_cast<std::size_t>(id)];
     RunOpPhase([&] { node.op->OnTimeAdvance(now); });
   }
+  index_skipped_ += nodes_.size() - time_driven_ops_.size();
   if (wave_mode()) RunWave();
 }
 
@@ -993,7 +875,7 @@ void Executor::ProcessBoundary(Timestamp boundary) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const OpId id = static_cast<OpId>(i);
       if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
-      if (indexed() && !nodes_[i].touched) {
+      if (!nodes_[i].touched) {
         // Never received input: every shard's StateSize() is 0, below the
         // purge watermark, so MaybePurge would return immediately.
         ++index_skipped_;
@@ -1025,7 +907,7 @@ void Executor::ProcessBoundary(Timestamp boundary) {
   } else {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
-      if (indexed() && !node.touched) {
+      if (!node.touched) {
         ++index_skipped_;  // StateSize() 0 < watermark: MaybePurge no-ops
         continue;
       }

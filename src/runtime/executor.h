@@ -40,7 +40,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,17 +102,6 @@ struct ExecutorOptions {
   /// classic single-producer pipeline (byte-identical output at
   /// num_workers=1/batch_size=1). See runtime/ingest_pipeline.h.
   std::size_t ingest_parsers = 1;
-  /// Query-index dispatch (DESIGN.md §3.1): route work through the
-  /// label-discrimination index so per-edge cost tracks the operators that
-  /// can match, not the registered-query population — wave scans walk a
-  /// dirty worklist instead of the whole topology, time-advance waves
-  /// visit only operators with declared time-driven work (plus the
-  /// state-bar hints in sharded mode), and purge scans skip operators
-  /// that never received input. Off reproduces the legacy full-scan
-  /// dispatch. Both settings are byte-identical at num_workers=1/
-  /// batch_size=1 and snapshot-equivalent + deterministic sharded
-  /// (tests/query_index_test.cc).
-  bool use_query_index = true;
 };
 
 /// \brief Owns and drives the operator topology of one running query.
@@ -261,14 +249,14 @@ class Executor {
   /// \brief Operator activations: OnSge deliveries, per-(operator, port)
   /// batch executions, and per-operator time-advance / purge phases.
   /// Divided by edges_processed() this is the fanout the dispatch layer
-  /// actually paid — O(registered queries) per edge under legacy
-  /// broadcast phases, O(matching operators) with the query index on.
-  /// (Tuple-mode cascades within one delivery count as one activation.)
+  /// actually paid — O(matching operators) per edge, not O(registered
+  /// queries). (Tuple-mode cascades within one delivery count as one
+  /// activation.)
   std::size_t ops_touched() const { return ops_touched_; }
 
-  /// \brief Operator visits the query index pruned relative to the legacy
-  /// full-scan dispatch: skipped wave-scan visits, skipped time-advance
-  /// phases, skipped purge phases. Always 0 with use_query_index off.
+  /// \brief Operator visits the query index pruned relative to a full scan
+  /// of the topology: skipped wave-scan visits, skipped time-advance
+  /// phases, skipped purge phases.
   std::size_t index_skipped_dispatches() const { return index_skipped_; }
 
   /// \brief Tuples the merge-side coalescer suppressed as cross-shard
@@ -313,8 +301,8 @@ class Executor {
   void SerializeClock(std::string* out) const;
   Status DeserializeClock(ByteReader* in);
 
-  /// \brief Serializes per-node runtime state: the touched bit (indexed
-  /// purge dispatch), the merge-side coalescer + its purge watermark when
+  /// \brief Serializes per-node runtime state: the touched bit (purge
+  /// dispatch), the merge-side coalescer + its purge watermark when
   /// enabled, and every shard instance's purge watermark plus its
   /// length-framed SerializeState blob.
   void SerializeOps(std::string* out) const;
@@ -365,24 +353,16 @@ class Executor {
     /// PhysicalOp::MaybePurge).
     std::size_t merge_purge_watermark = 1024;
 
-    /// Time-advance dispatch hint (sharded mode): true when some shard's
-    /// StateSize() met options_.time_advance_parallel_state_bar at the
-    /// last slide boundary. OR-ed with the operator's HasTimeDrivenWork().
-    bool time_advance_parallel = false;
-
     /// Source registration of this node (WSCAN leaves), recorded so
-    /// RemoveOps can prune the per-label tables and the query index
-    /// without scanning them: the label, or the wildcard bucket.
+    /// RemoveOps can prune the query index without scanning it: the label, or the wildcard bucket.
     LabelId source_label = kInvalidLabel;
     bool source_wildcard = false;
 
-    /// Indexed dispatch (use_query_index): true while the node sits in the
-    /// dirty worklist of the current wave (it has pending input to run).
+    /// True while the node sits in the dirty worklist of the current wave (it has pending input to run).
     bool dirty = false;
     /// Monotone: the node received input at least once (directly or via
     /// its upstream cone), so it may hold state worth a purge scan.
-    /// Never-touched operators are skipped by the indexed boundary
-    /// phases — exact, because operator state only grows from input.
+    /// Never-touched operators are skipped by the boundary phases — exact, because operator state only grows from input.
     bool touched = false;
   };
 
@@ -400,24 +380,19 @@ class Executor {
   /// (batch_size == 1) reproduces recursive depth-first delivery exactly.
   bool wave_mode() const { return options_.batch_size > 1; }
 
-  /// \brief True when dispatch consults the query index (DESIGN.md §3.1).
-  bool indexed() const { return options_.use_query_index; }
-
   /// \brief Channel/shard/coordination setup of one node — the per-node
   /// body shared by Finalize() and FinalizeNewOps().
   Status SetupNodeTopology(std::size_t i);
 
   /// \brief Adds `id` to the current wave's dirty worklist (min-heap on
-  /// OpId: popping ascending reproduces the legacy full scan's node
-  /// order — channels only point to higher ids, so one ascending pass
+  /// OpId: channels only point to higher ids, so one ascending pass
   /// settles a wave).
   void MarkDirty(OpId id);
 
   /// \brief Marks `id` and its downstream cone as touched (first input).
   void MarkTouchedCone(OpId id);
 
-  /// \brief Delivers one sge to `source` in tuple/wave mode (shared body
-  /// of the indexed and legacy DeliverSge paths).
+  /// \brief Delivers one sge to `source` in tuple/wave mode.
   void DeliverSgeToSource(const Sge& sge, OpId source);
 
   /// \brief Runs one operator phase call (OnSge / OnTimeAdvance /
@@ -505,22 +480,17 @@ class Executor {
 
   ExecutorOptions options_;
   std::vector<OpNode> nodes_;  ///< index == OpId; insertion is wave order
-  /// Legacy per-label source table (use_query_index off). The indexed
-  /// path reads query_index_ instead; both are maintained by
-  /// RegisterSource so the flag can differ between otherwise-identical
-  /// runs (the differential tests rely on that).
-  std::unordered_map<LabelId, std::vector<OpId>> sources_;
-  std::vector<OpId> wildcard_sources_;  ///< legacy always-on bucket
+  /// Label-discrimination dispatch index: the only source table.
   QueryIndex query_index_;
   /// Operators with declared time-driven work (HasTimeDrivenWork), in
   /// ascending id order — the only operators whose OnTimeAdvance the
-  /// indexed time-advance wave must run (the contract in core/physical.h
+  /// time-advance wave must run (the contract in core/physical.h
   /// requires overriders to declare themselves).
   std::vector<OpId> time_driven_ops_;
-  /// Sharded indexed mode: operators promoted by the state-bar hint at
+  /// Sharded mode: operators promoted by the state-bar hint at
   /// the last boundary (ascending; disjoint from time_driven_ops_).
   std::vector<OpId> time_advance_hinted_;
-  /// Min-heap (std::greater) of dirty node ids for the indexed waves.
+  /// Min-heap (std::greater) of dirty node ids for the waves.
   std::vector<OpId> dirty_heap_;
   WindowStore window_store_;
   std::unique_ptr<WorkerPool> pool_;  ///< created by Finalize when sharded

@@ -103,7 +103,7 @@ struct IngestStats {
   /// parse/decode cost (parse_tuples_per_sec = elements / max busy).
   std::vector<uint64_t> parser_busy_ns;
   /// Nanoseconds spent inside the chunk feeder across all parser threads
-  /// (file-backed sources only: pread/page-scan time plus readahead-
+  /// (file-backed sources only: page-in/scan time plus readahead-
   /// window backpressure; 0 for fully materialized streams). High value =
   /// the run is I/O-bound or the window is too small.
   uint64_t readahead_stall_ns = 0;

@@ -18,11 +18,9 @@
 // so queries added mid-topology-build are indexed immediately.
 //
 // Ordering contract (determinism): postings of one label keep their
-// registration order — exactly the order the executor's legacy per-label
-// source table delivered in — and every lookup visits label postings
-// first, then the wildcard bucket in its registration order. Indexed and
-// non-indexed dispatch therefore produce identical call sequences
-// (byte-identical results at workers=1/batch=1; DESIGN.md §3.1).
+// registration order, and every lookup visits label postings first, then
+// the wildcard bucket in its registration order — so sources receive an
+// edge in the order their queries registered (DESIGN.md §3.1).
 
 #ifndef SGQ_RUNTIME_QUERY_INDEX_H_
 #define SGQ_RUNTIME_QUERY_INDEX_H_

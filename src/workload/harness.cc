@@ -145,7 +145,6 @@ Result<RunMetrics> RunSgaFile(const std::string& path,
   SGQ_ASSIGN_OR_RETURN(auto qp,
                        QueryProcessor::FromQuery(query, *vocab, options));
   FileChunkOptions fco;
-  fco.mode = options.ingest_file_mode;
   fco.allow_disorder = options.ingest_slack > 0;
   // Same chunk-count floor as RunSgaText per parse placement, so chunk
   // boundaries — and output — match the materialized path exactly.

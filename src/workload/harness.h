@@ -58,15 +58,15 @@ Result<RunMetrics> RunSgaCsv(const std::string& csv_text,
                              std::string name);
 
 /// \brief Runs `query` over a stream *file* without materializing it:
-/// bytes are served through the bounded readahead window of a
-/// model/file_chunk_source.h chunk feeder (options.ingest_file_mode picks
-/// mmap vs buffered preads), so peak ingest-buffer memory is
-/// O(options.ingest_readahead_chunks · ~256 KB) regardless of file size.
+/// the file is mapped and served through the bounded readahead window of a
+/// model/file_chunk_source.h chunk feeder, so peak resident stream bytes
+/// are O(options.ingest_readahead_chunks · ~256 KB) regardless of file
+/// size.
 /// The decoded element sequence — and therefore every result and error —
 /// is byte-identical to RunSgaText over the same file's bytes in every
 /// configuration RunSgaText supports (sync inline parse, async single
 /// producer, async sharded parse; options.ingest_format declares the
-/// encoding, pair with DetectStreamFileFormat to sniff). Feeder time
+/// encoding). Feeder time
 /// lands in RunMetrics::readahead_stall_ns.
 Result<RunMetrics> RunSgaFile(const std::string& path,
                               const StreamingGraphQuery& query,

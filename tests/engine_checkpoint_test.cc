@@ -214,6 +214,32 @@ TEST(EngineCheckpointTest, OptionsIdentityMismatchRefused) {
   std::remove(path.c_str());
 }
 
+TEST(EngineCheckpointTest, MetaKeepsConstantQueryIndexIdentityKey) {
+  // Dispatch always uses the query index, but the identity key stays in
+  // the meta section as "1" so snapshots written by engines that recorded
+  // the choice keep restoring, and vice versa.
+  Vocabulary vocab;
+  const InputStream stream = DeletionHeavyStream(&vocab, 5, 80);
+  auto query = MakeQuery(kQuery, WindowSpec(16, 2), &vocab);
+  ASSERT_TRUE(query.ok());
+  const std::string path = SnapshotAfterPrefix(stream, *query, &vocab, {},
+                                               "ckpt_meta.sgqc");
+  auto reader = CheckpointReader::ParseFile(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto meta = reader->Open("meta");
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  const std::uint32_t n_keys = meta->U32();
+  std::string value;
+  for (std::uint32_t i = 0; i < n_keys && meta->ok(); ++i) {
+    const std::string key = meta->Str();
+    const std::string v = meta->Str();
+    if (key == "use_query_index") value = v;
+  }
+  ASSERT_TRUE(meta->ok()) << meta->status().ToString();
+  EXPECT_EQ(value, "1");
+  std::remove(path.c_str());
+}
+
 TEST(EngineCheckpointTest, VocabularyIsVerifiedAndAdopted) {
   Vocabulary vocab;
   const InputStream stream = DeletionHeavyStream(&vocab, 6, 80);

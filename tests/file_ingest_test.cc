@@ -3,7 +3,7 @@
 //  - the windowed file source reproduces the materialized
 //    MakeChunkedStream view byte-for-byte — chunk count, per-chunk
 //    element sequence, CSV global line numbers and binary byte offsets in
-//    error text — in both serving modes and both formats;
+//    error text — in both formats;
 //  - engine results through RunPipelinedSharded are identical between the
 //    file source and the in-memory source across format × parsers, and
 //    the RunSgaFile harness matches RunSgaText in every parse placement;
@@ -12,13 +12,18 @@
 //  - aborting runs (early parse error, multi-parser) terminate instead of
 //    hanging on the readahead window;
 //  - degenerate inputs (zero-length files, retired-chunk reopens) behave
-//    exactly like the materialized path.
+//    exactly like the materialized path;
+//  - a pipe is read once and, with the format sniffed from the bytes it
+//    delivered, serves the same elements as the in-memory source.
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/query_processor.h"
@@ -75,13 +80,6 @@ std::string WriteTemp(const std::string& name, const std::string& bytes) {
   return path;
 }
 
-const FileIngestMode kModes[] = {FileIngestMode::kBuffered,
-                                 FileIngestMode::kMmap};
-
-const char* ModeName(FileIngestMode mode) {
-  return mode == FileIngestMode::kMmap ? "mmap" : "buffered";
-}
-
 // ---------------------------------------------------------------------------
 // Chunk-view parity with the materialized source
 // ---------------------------------------------------------------------------
@@ -102,30 +100,24 @@ TEST(FileChunkSourceTest, ChunksMatchMaterializedSourceExactly) {
     auto reference =
         MakeChunkedStream(bytes, format, &vocab, false, /*min_chunks=*/8);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (const FileIngestMode mode : kModes) {
-      FileChunkOptions fco;
-      fco.mode = mode;
-      fco.min_chunks = 8;
-      auto source = MakeFileChunkSource(path, format, &vocab, fco);
-      ASSERT_TRUE(source.ok()) << source.status().ToString();
-      EXPECT_EQ((*source)->mode(), mode);
-      EXPECT_EQ((*source)->file_size(), bytes.size());
-      ASSERT_EQ((*source)->NumChunks(), (*reference)->NumChunks())
-          << ModeName(mode);
-      // Sequential open/drain/close respects the readahead window and
-      // compares every chunk's element sequence against the same chunk of
-      // the materialized source.
-      for (std::size_t c = 0; c < (*source)->NumChunks(); ++c) {
-        auto got = (*source)->OpenChunk(c);
-        auto want = (*reference)->OpenChunk(c);
-        const InputStream got_elems = Drain(got.get());
-        const InputStream want_elems = Drain(want.get());
-        ASSERT_TRUE(got->status().ok())
-            << ModeName(mode) << " chunk " << c << ": "
-            << got->status().ToString();
-        ASSERT_TRUE(want->status().ok());
-        ExpectSameElements(got_elems, want_elems, ModeName(mode));
-      }
+    FileChunkOptions fco;
+    fco.min_chunks = 8;
+    auto source = MakeFileChunkSource(path, format, &vocab, fco);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    EXPECT_EQ((*source)->file_size(), bytes.size());
+    ASSERT_EQ((*source)->NumChunks(), (*reference)->NumChunks());
+    // Sequential open/drain/close respects the readahead window and
+    // compares every chunk's element sequence against the same chunk of
+    // the materialized source.
+    for (std::size_t c = 0; c < (*source)->NumChunks(); ++c) {
+      auto got = (*source)->OpenChunk(c);
+      auto want = (*reference)->OpenChunk(c);
+      const InputStream got_elems = Drain(got.get());
+      const InputStream want_elems = Drain(want.get());
+      ASSERT_TRUE(got->status().ok())
+          << "chunk " << c << ": " << got->status().ToString();
+      ASSERT_TRUE(want->status().ok());
+      ExpectSameElements(got_elems, want_elems, "chunk parity");
     }
     std::remove(path.c_str());
   }
@@ -139,28 +131,24 @@ TEST(FileChunkSourceTest, RetiredChunksReopenWithIdenticalContents) {
   auto reference = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab, false,
                                      /*min_chunks=*/6);
   ASSERT_TRUE(reference.ok());
-  for (const FileIngestMode mode : kModes) {
-    FileChunkOptions fco;
-    fco.mode = mode;
-    fco.min_chunks = 6;
-    fco.readahead_chunks = 2;  // clamp floor: tightest legal window
-    auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
-    ASSERT_TRUE(source.ok()) << source.status().ToString();
-    EXPECT_EQ((*source)->window_chunks(), 2u);
-    // Walk everything once (each chunk retires when its cursor drops)...
-    for (std::size_t c = 0; c < (*source)->NumChunks(); ++c) {
-      auto cursor = (*source)->OpenChunk(c);
-      Drain(cursor.get());
-      ASSERT_TRUE(cursor->status().ok()) << cursor->status().ToString();
-    }
-    // ...then reopen a retired middle chunk: buffered mode reloads the
-    // bytes from disk, mmap re-touches MADV_DONTNEEDed pages.
-    auto again = (*source)->OpenChunk(2);
-    auto want = (*reference)->OpenChunk(2);
-    ExpectSameElements(Drain(again.get()), Drain(want.get()),
-                       ModeName(mode));
-    ASSERT_TRUE(again->status().ok()) << again->status().ToString();
+  FileChunkOptions fco;
+  fco.min_chunks = 6;
+  fco.readahead_chunks = 2;  // clamp floor: tightest legal window
+  auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ((*source)->window_chunks(), 2u);
+  // Walk everything once (each chunk retires when its cursor drops)...
+  for (std::size_t c = 0; c < (*source)->NumChunks(); ++c) {
+    auto cursor = (*source)->OpenChunk(c);
+    Drain(cursor.get());
+    ASSERT_TRUE(cursor->status().ok()) << cursor->status().ToString();
   }
+  // ...then reopen a retired middle chunk: it re-touches MADV_DONTNEEDed
+  // pages of the mapping.
+  auto again = (*source)->OpenChunk(2);
+  auto want = (*reference)->OpenChunk(2);
+  ExpectSameElements(Drain(again.get()), Drain(want.get()), "reopen");
+  ASSERT_TRUE(again->status().ok()) << again->status().ToString();
   std::remove(path.c_str());
 }
 
@@ -189,19 +177,15 @@ TEST(FileChunkSourceTest, CsvErrorsCarryGlobalLineNumbers) {
   ASSERT_NE(want.status().message().find("line 401"), std::string::npos)
       << want.status().ToString();
 
-  for (const FileIngestMode mode : kModes) {
-    Vocabulary vocab;
-    FileChunkOptions fco;
-    fco.mode = mode;
-    fco.min_chunks = 8;
-    auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
-    ASSERT_TRUE(source.ok()) << source.status().ToString();
-    ChunkWalkCursor got(**source, false);
-    Drain(&got);
-    ASSERT_FALSE(got.status().ok()) << ModeName(mode);
-    EXPECT_EQ(got.status().message(), want.status().message())
-        << ModeName(mode);
-  }
+  Vocabulary vocab;
+  FileChunkOptions fco;
+  fco.min_chunks = 8;
+  auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ChunkWalkCursor got(**source, false);
+  Drain(&got);
+  ASSERT_FALSE(got.status().ok());
+  EXPECT_EQ(got.status().message(), want.status().message());
   std::remove(path.c_str());
 }
 
@@ -212,39 +196,28 @@ TEST(FileChunkSourceTest, BinaryHeaderErrorsMatchMaterializedPath) {
   auto reference =
       MakeChunkedStream(bad, StreamFormat::kBinary, &vocab, false, 1);
   ASSERT_FALSE(reference.ok());
-  for (const FileIngestMode mode : kModes) {
-    FileChunkOptions fco;
-    fco.mode = mode;
-    auto source =
-        MakeFileChunkSource(path, StreamFormat::kBinary, &vocab, fco);
-    ASSERT_FALSE(source.ok()) << ModeName(mode);
-    EXPECT_EQ(source.status().message(), reference.status().message())
-        << ModeName(mode);
-  }
+  auto source = MakeFileChunkSource(path, StreamFormat::kBinary, &vocab);
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.status().message(), reference.status().message());
   std::remove(path.c_str());
 }
 
 TEST(FileChunkSourceTest, ZeroLengthFileMatchesMaterializedPath) {
   const std::string path = WriteTemp("empty_stream.csv", "");
   Vocabulary vocab;
-  for (const FileIngestMode mode : kModes) {
-    FileChunkOptions fco;
-    fco.mode = mode;
-    // CSV: zero elements, clean end (an empty mapping is degenerate, so
-    // the source degrades to a resident empty buffer in either mode).
-    auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
-    ASSERT_TRUE(source.ok()) << source.status().ToString();
-    ChunkWalkCursor cursor(**source, false);
-    EXPECT_TRUE(Drain(&cursor).empty());
-    EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
-    // Binary: same truncated-header error as parsing empty bytes.
-    auto ref =
-        MakeChunkedStream("", StreamFormat::kBinary, &vocab, false, 1);
-    ASSERT_FALSE(ref.ok());
-    auto bin = MakeFileChunkSource(path, StreamFormat::kBinary, &vocab, fco);
-    ASSERT_FALSE(bin.ok()) << ModeName(mode);
-    EXPECT_EQ(bin.status().message(), ref.status().message());
-  }
+  // CSV: zero elements, clean end (an empty mapping is degenerate, so
+  // the source degrades to a resident empty buffer).
+  auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  ChunkWalkCursor cursor(**source, false);
+  EXPECT_TRUE(Drain(&cursor).empty());
+  EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+  // Binary: same truncated-header error as parsing empty bytes.
+  auto ref = MakeChunkedStream("", StreamFormat::kBinary, &vocab, false, 1);
+  ASSERT_FALSE(ref.ok());
+  auto bin = MakeFileChunkSource(path, StreamFormat::kBinary, &vocab);
+  ASSERT_FALSE(bin.ok());
+  EXPECT_EQ(bin.status().message(), ref.status().message());
   std::remove(path.c_str());
 }
 
@@ -261,23 +234,69 @@ TEST(FileChunkSourceTest, MissingFileAndDirectoryErrors) {
             std::string::npos);
 }
 
-TEST(FileChunkSourceTest, DetectStreamFileFormatSniffsMagic) {
+/// \brief Writes `bytes` into a pipe from a thread while the caller reads
+/// it back through MakeFileChunkSource's format-sniffing overload.
+Result<std::unique_ptr<FileChunkSource>> OpenThroughPipe(
+    const std::string& bytes, Vocabulary* vocab,
+    const FileChunkOptions& options) {
+  int fds[2];
+  if (::pipe(fds) != 0) return Status::Internal("pipe() failed");
+  std::thread writer([&bytes, fd = fds[1]] {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  auto source = MakeFileChunkSource("/dev/fd/" + std::to_string(fds[0]),
+                                    vocab, options);
+  writer.join();
+  ::close(fds[0]);
+  return source;
+}
+
+TEST(FileChunkSourceTest, PipeMatchesInMemorySourceWithSniffedFormat) {
+  // A pipe cannot be probed and reopened: the source reads it once and
+  // sniffs the format from the bytes it holds. Regular files sniff the
+  // same way from their mapping.
   Vocabulary vocab;
   const InputStream stream = TestStream(&vocab);
+  const std::string csv = FormatStreamCsv(stream, vocab);
   auto binary = FormatStreamBinary(stream, vocab);
   ASSERT_TRUE(binary.ok());
-  const std::string csv_path =
-      WriteTemp("detect.csv", FormatStreamCsv(stream, vocab));
-  const std::string bin_path = WriteTemp("detect.sgqb", *binary);
-  auto csv_format = DetectStreamFileFormat(csv_path);
-  auto bin_format = DetectStreamFileFormat(bin_path);
-  ASSERT_TRUE(csv_format.ok());
-  ASSERT_TRUE(bin_format.ok());
-  EXPECT_EQ(*csv_format, StreamFormat::kCsv);
-  EXPECT_EQ(*bin_format, StreamFormat::kBinary);
-  EXPECT_FALSE(DetectStreamFileFormat(csv_path + ".gone").ok());
-  std::remove(csv_path.c_str());
-  std::remove(bin_path.c_str());
+  for (const bool use_binary : {false, true}) {
+    const std::string& bytes = use_binary ? *binary : csv;
+    const StreamFormat format =
+        use_binary ? StreamFormat::kBinary : StreamFormat::kCsv;
+    const char* what = use_binary ? "sgqb" : "csv";
+    auto reference =
+        MakeChunkedStream(bytes, format, &vocab, false, /*min_chunks=*/8);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ChunkWalkCursor want(**reference, false);
+    const InputStream want_elems = Drain(&want);
+    ASSERT_TRUE(want.status().ok()) << want.status().ToString();
+    ASSERT_EQ(want_elems.size(), stream.size());
+
+    FileChunkOptions fco;
+    fco.min_chunks = 8;
+    auto piped = OpenThroughPipe(bytes, &vocab, fco);
+    ASSERT_TRUE(piped.ok()) << what << ": " << piped.status().ToString();
+    EXPECT_EQ((*piped)->format(), format) << what;
+    EXPECT_EQ((*piped)->file_size(), bytes.size()) << what;
+    EXPECT_EQ((*piped)->NumChunks(), (*reference)->NumChunks()) << what;
+    ChunkWalkCursor got(**piped, false);
+    ExpectSameElements(Drain(&got), want_elems, what);
+    ASSERT_TRUE(got.status().ok()) << what << ": " << got.status().ToString();
+
+    const std::string path =
+        WriteTemp(use_binary ? "sniff.sgqb" : "sniff.csv", bytes);
+    auto mapped = MakeFileChunkSource(path, &vocab, fco);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_EQ((*mapped)->format(), format) << what;
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +319,7 @@ TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
   // The hard contract: same chunk boundaries, same merge order, so the
   // result stream through RunPipelinedSharded is *identical* (order
   // included) between the file source and the materialized source, for
-  // every format × parsers × mode cell. (The vocabulary is pre-populated
+  // every format × parsers cell. (The vocabulary is pre-populated
   // by the generator, so concurrent CSV interning resolves fixed ids.)
   Vocabulary vocab;
   const InputStream stream = TestStream(&vocab);
@@ -328,24 +347,20 @@ TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       const std::vector<Sgt> expected =
           RunShardedOver(*query, &vocab, **reference, options);
-      for (const FileIngestMode mode : kModes) {
-        FileChunkOptions fco;
-        fco.mode = mode;
-        fco.min_chunks = min_chunks;
-        fco.readahead_chunks = parsers + 1;
-        auto source = MakeFileChunkSource(path, format, &vocab, fco);
-        ASSERT_TRUE(source.ok()) << source.status().ToString();
-        const std::vector<Sgt> actual =
-            RunShardedOver(*query, &vocab, **source, options);
-        ASSERT_EQ(actual.size(), expected.size())
-            << ModeName(mode) << " format="
-            << (use_binary ? "binary" : "csv") << " parsers=" << parsers;
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          ASSERT_TRUE(actual[i] == expected[i])
-              << ModeName(mode) << " format="
-              << (use_binary ? "binary" : "csv") << " parsers=" << parsers
-              << " position " << i;
-        }
+      FileChunkOptions fco;
+      fco.min_chunks = min_chunks;
+      fco.readahead_chunks = parsers + 1;
+      auto source = MakeFileChunkSource(path, format, &vocab, fco);
+      ASSERT_TRUE(source.ok()) << source.status().ToString();
+      const std::vector<Sgt> actual =
+          RunShardedOver(*query, &vocab, **source, options);
+      ASSERT_EQ(actual.size(), expected.size())
+          << "format=" << (use_binary ? "binary" : "csv")
+          << " parsers=" << parsers;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(actual[i] == expected[i])
+            << "format=" << (use_binary ? "binary" : "csv")
+            << " parsers=" << parsers << " position " << i;
       }
     }
     std::remove(path.c_str());
@@ -382,17 +397,13 @@ TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
       auto text = RunSgaText(use_binary ? *binary : csv, *query, &vocab,
                              options, "text");
       ASSERT_TRUE(text.ok()) << text.status().ToString();
-      for (const FileIngestMode mode : kModes) {
-        options.ingest_file_mode = mode;
-        auto file = RunSgaFile(use_binary ? bin_path : csv_path, *query,
-                               &vocab, options, "file");
-        ASSERT_TRUE(file.ok()) << file.status().ToString();
-        EXPECT_EQ(file->results_emitted, text->results_emitted)
-            << ModeName(mode) << " format="
-            << (use_binary ? "binary" : "csv") << " async=" << p.async
-            << " parsers=" << p.parsers;
-        EXPECT_EQ(file->edges_processed, text->edges_processed);
-      }
+      auto file = RunSgaFile(use_binary ? bin_path : csv_path, *query,
+                             &vocab, options, "file");
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      EXPECT_EQ(file->results_emitted, text->results_emitted)
+          << "format=" << (use_binary ? "binary" : "csv")
+          << " async=" << p.async << " parsers=" << p.parsers;
+      EXPECT_EQ(file->edges_processed, text->edges_processed);
     }
   }
   std::remove(csv_path.c_str());
@@ -425,33 +436,29 @@ TEST(FileIngestBoundedMemoryTest, PeakResidentBytesIndependentOfFileSize) {
   const std::string small_path = WriteTemp("rss_small.csv", small_csv);
   const std::string large_path = WriteTemp("rss_large.csv", large_csv);
 
-  for (const FileIngestMode mode : kModes) {
-    std::uint64_t peak[2] = {0, 0};
-    int idx = 0;
-    for (const std::string* path : {&small_path, &large_path}) {
-      Vocabulary vocab;
-      FileChunkOptions fco;
-      fco.mode = mode;
-      fco.readahead_chunks = 4;
-      auto source =
-          MakeFileChunkSource(*path, StreamFormat::kCsv, &vocab, fco);
-      ASSERT_TRUE(source.ok()) << source.status().ToString();
-      ASSERT_GE((*source)->NumChunks(), 8u);
-      ChunkWalkCursor cursor(**source, false);
-      EXPECT_FALSE(Drain(&cursor).empty());
-      ASSERT_TRUE(cursor.status().ok()) << cursor.status().ToString();
-      peak[idx++] = (*source)->peak_resident_bytes();
-    }
-    // The window is 4 chunks of ~256 KiB: both peaks sit near ~1 MiB.
-    // Identical boundaries modulo newline slack, so "independent of file
-    // size" is a tight relation, not a loose threshold.
-    EXPECT_GT(peak[0], 0u) << ModeName(mode);
-    EXPECT_LE(peak[1], peak[0] + peak[0] / 4) << ModeName(mode)
-        << ": peak grew with file size (" << peak[0] << " -> " << peak[1]
-        << ")";
-    // And absolutely bounded far below the large file itself.
-    EXPECT_LT(peak[1], large_csv.size() / 4) << ModeName(mode);
+  std::uint64_t peak[2] = {0, 0};
+  int idx = 0;
+  for (const std::string* path : {&small_path, &large_path}) {
+    Vocabulary vocab;
+    FileChunkOptions fco;
+    fco.readahead_chunks = 4;
+    auto source = MakeFileChunkSource(*path, StreamFormat::kCsv, &vocab, fco);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    ASSERT_GE((*source)->NumChunks(), 8u);
+    ChunkWalkCursor cursor(**source, false);
+    EXPECT_FALSE(Drain(&cursor).empty());
+    ASSERT_TRUE(cursor.status().ok()) << cursor.status().ToString();
+    peak[idx++] = (*source)->peak_resident_bytes();
   }
+  // The window is 4 chunks of ~256 KiB: both peaks sit near ~1 MiB.
+  // Identical boundaries modulo newline slack, so "independent of file
+  // size" is a tight relation, not a loose threshold.
+  EXPECT_GT(peak[0], 0u);
+  EXPECT_LE(peak[1], peak[0] + peak[0] / 4)
+      << "peak grew with file size (" << peak[0] << " -> " << peak[1]
+      << ")";
+  // And absolutely bounded far below the large file itself.
+  EXPECT_LT(peak[1], large_csv.size() / 4);
   std::remove(small_path.c_str());
   std::remove(large_path.c_str());
 }
@@ -466,27 +473,23 @@ TEST(FileIngestAbortTest, EarlyParseErrorTerminatesShardedRun) {
            "," + std::to_string(i / 100) + "\n";
   }
   const std::string path = WriteTemp("abort.csv", csv);
-  for (const FileIngestMode mode : kModes) {
-    Vocabulary vocab;
-    auto query =
-        MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(12, 3), &vocab);
-    ASSERT_TRUE(query.ok());
-    EngineOptions options;
-    options.async_ingest = true;
-    options.ingest_parsers = 4;
-    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
-    ASSERT_TRUE(qp.ok());
-    FileChunkOptions fco;
-    fco.mode = mode;
-    fco.min_chunks = 8;
-    fco.readahead_chunks = 2;
-    auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
-    ASSERT_TRUE(source.ok()) << source.status().ToString();
-    Status run = (*qp)->engine().RunPipelinedSharded(**source);
-    ASSERT_FALSE(run.ok()) << ModeName(mode);
-    EXPECT_NE(run.message().find("line 1"), std::string::npos)
-        << run.ToString();
-  }
+  Vocabulary vocab;
+  auto query = MakeQuery("Answer(x,y) <- a(x,y)", WindowSpec(12, 3), &vocab);
+  ASSERT_TRUE(query.ok());
+  EngineOptions options;
+  options.async_ingest = true;
+  options.ingest_parsers = 4;
+  auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+  ASSERT_TRUE(qp.ok());
+  FileChunkOptions fco;
+  fco.min_chunks = 8;
+  fco.readahead_chunks = 2;
+  auto source = MakeFileChunkSource(path, StreamFormat::kCsv, &vocab, fco);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  Status run = (*qp)->engine().RunPipelinedSharded(**source);
+  ASSERT_FALSE(run.ok());
+  EXPECT_NE(run.message().find("line 1"), std::string::npos)
+      << run.ToString();
   std::remove(path.c_str());
 }
 

@@ -1,20 +1,20 @@
 // Tests for the label-discrimination query index (runtime/query_index.h,
-// DESIGN.md §3.1) and the indexed dispatch built on it
-// (ExecutorOptions::use_query_index):
+// DESIGN.md §3.1) and the executor dispatch built on it:
 //
 //  - the posting-list container itself (insert order, wildcard bucket,
 //    miss behavior);
-//  - indexed dispatch is byte-identical to the legacy full-scan dispatch
-//    at num_workers = 1, across batch sizes, both PATH implementations,
-//    and deletion-heavy streams — the index prunes guaranteed-no-op
-//    work, never semantics;
-//  - sharded indexed runs are snapshot-equivalent to the single-worker
-//    reference and byte-deterministic run-to-run;
+//  - indexed dispatch matches the one-time oracle (snapshot reducibility,
+//    Def. 14) at sampled instants at num_workers = 1, across batch sizes,
+//    both PATH implementations, and deletion-heavy streams — the index
+//    prunes guaranteed-no-op work, never semantics;
+//  - sharded runs match the same oracle and are byte-deterministic
+//    run-to-run;
 //  - the index is maintained incrementally as queries are registered on
 //    a live engine, and cross-query subtree sharing registers a shared
 //    scan's posting exactly once;
 //  - wildcard scans (kWScan with input_label = kInvalidLabel) land in
-//    the always-on bucket and admit every label;
+//    the always-on bucket, admit every label, and coexist with labeled
+//    queries (both checked against the oracle);
 //  - posting coverage: every label in a registered plan's admission
 //    predicate (algebra/translate.h PlanAdmission) is findable in the
 //    executor's index, and the index holds no label outside the union
@@ -37,6 +37,7 @@
 namespace sgq {
 namespace {
 
+using testing_util::OraclePairsAt;
 using testing_util::ResultPairsAt;
 using testing_util::SampleTimes;
 
@@ -61,8 +62,8 @@ TEST(QueryIndexTest, PostingsKeepRegistrationOrderPerLabel) {
   const QueryIndex::PostingList* postings = index.Find(3);
   ASSERT_NE(postings, nullptr);
   ASSERT_EQ(postings->size(), 2u);
-  // Registration order, not op-id order: the dispatch contract is "same
-  // delivery order as the legacy per-label source list".
+  // Registration order, not op-id order: sources receive an edge in the
+  // order their queries registered.
   EXPECT_EQ((*postings)[0].op, 5);
   EXPECT_EQ((*postings)[0].port, 0);
   EXPECT_EQ((*postings)[1].op, 2);
@@ -89,7 +90,7 @@ TEST(QueryIndexTest, WildcardBucketIsSeparateFromLabelPostings) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: indexed dispatch vs legacy full scan
+// Indexed dispatch vs the one-time oracle
 // ---------------------------------------------------------------------------
 
 struct Config {
@@ -138,7 +139,20 @@ void ExpectByteIdentical(const std::vector<Sgt>& expected,
   }
 }
 
-TEST(IndexedDispatchTest, ByteIdenticalToLegacyAtSingleWorker) {
+/// \brief Asserts the snapshot of `results` equals the oracle's answer for
+/// `query` at every sampled instant of `stream`.
+void ExpectMatchesOracle(const std::vector<Sgt>& results,
+                         const InputStream& stream,
+                         const StreamingGraphQuery& query,
+                         const Vocabulary& vocab,
+                         const std::string& context) {
+  for (Timestamp t : SampleTimes(stream, 8)) {
+    ASSERT_EQ(ResultPairsAt(results, t), OraclePairsAt(stream, query, vocab, t))
+        << context << " t=" << t;
+  }
+}
+
+TEST(IndexedDispatchTest, SingleWorkerRunsMatchOracle) {
   for (uint64_t seed : {3u, 41u, 99u}) {
     for (const Config& config : kConfigs) {
       Vocabulary vocab;
@@ -146,15 +160,11 @@ TEST(IndexedDispatchTest, ByteIdenticalToLegacyAtSingleWorker) {
       auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
       ASSERT_TRUE(query.ok()) << config.query;
       for (std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-        EngineOptions legacy;
-        legacy.path_impl = config.path_impl;
-        legacy.batch_size = batch;
-        legacy.use_query_index = false;
-        EngineOptions indexed = legacy;
-        indexed.use_query_index = true;
-        ExpectByteIdentical(
-            RunEngine(*query, vocab, stream, legacy),
-            RunEngine(*query, vocab, stream, indexed),
+        EngineOptions options;
+        options.path_impl = config.path_impl;
+        options.batch_size = batch;
+        ExpectMatchesOracle(
+            RunEngine(*query, vocab, stream, options), stream, *query, vocab,
             std::string(config.query) + " batch=" + std::to_string(batch) +
                 " seed=" + std::to_string(seed));
       }
@@ -162,32 +172,20 @@ TEST(IndexedDispatchTest, ByteIdenticalToLegacyAtSingleWorker) {
   }
 }
 
-TEST(IndexedDispatchTest, ShardedRunsAreSnapshotEquivalentToLegacy) {
+TEST(IndexedDispatchTest, ShardedRunsMatchOracle) {
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(17, &vocab);
     auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
     ASSERT_TRUE(query.ok()) << config.query;
-
-    EngineOptions reference;
-    reference.path_impl = config.path_impl;
-    reference.use_query_index = false;
-    const std::vector<Sgt> expected =
-        RunEngine(*query, vocab, stream, reference);
-
-    const std::vector<Timestamp> times = SampleTimes(stream, 8);
     for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       EngineOptions options;
       options.path_impl = config.path_impl;
       options.num_workers = workers;
       options.batch_size = 64;
-      options.use_query_index = true;
-      const std::vector<Sgt> indexed =
-          RunEngine(*query, vocab, stream, options);
-      for (Timestamp t : times) {
-        ASSERT_EQ(ResultPairsAt(indexed, t), ResultPairsAt(expected, t))
-            << config.query << " workers=" << workers << " t=" << t;
-      }
+      ExpectMatchesOracle(
+          RunEngine(*query, vocab, stream, options), stream, *query, vocab,
+          std::string(config.query) + " workers=" + std::to_string(workers));
     }
   }
 }
@@ -202,7 +200,6 @@ TEST(IndexedDispatchTest, ShardedIndexedRunsAreByteDeterministic) {
     options.path_impl = config.path_impl;
     options.num_workers = 4;
     options.batch_size = 64;
-    options.use_query_index = true;
     ExpectByteIdentical(RunEngine(*query, vocab, stream, options),
                         RunEngine(*query, vocab, stream, options),
                         std::string(config.query) + " repeat");
@@ -259,6 +256,17 @@ TEST(IndexMaintenanceTest, PostingsGrowWithEachRegisteredQuery) {
 // Wildcard scans
 // ---------------------------------------------------------------------------
 
+/// \brief The label-agnostic query a wildcard scan answers: the union of
+/// single-atom rules over every stream label.
+StreamingGraphQuery AnyLabelQuery(const WindowSpec& window,
+                                  Vocabulary* vocab) {
+  auto query = MakeQuery(
+      "Answer(x,y) <- a(x,y)\nAnswer(x,y) <- b(x,y)\nAnswer(x,y) <- c(x,y)",
+      window, vocab);
+  EXPECT_TRUE(query.ok()) << query.status().ToString();
+  return query.ok() ? *query : StreamingGraphQuery{};
+}
+
 TEST(WildcardSourceTest, WildcardScanAdmitsEveryLabel) {
   Vocabulary vocab;
   RandomStreamOptions opt;
@@ -267,30 +275,27 @@ TEST(WildcardSourceTest, WildcardScanAdmitsEveryLabel) {
   auto stream = GenerateRandomStream(opt, &vocab);
   ASSERT_TRUE(stream.ok());
 
-  for (const bool use_index : {false, true}) {
-    EngineOptions options;
-    options.use_query_index = use_index;
-    Engine engine{options};
-    // A bare wildcard scan: input_label = kInvalidLabel admits every
-    // label; WScanOp re-emits each arriving element under its own label.
-    auto added =
-        engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(1000, 10)),
-                       vocab);
-    ASSERT_TRUE(added.ok()) << added.status().ToString();
-    ASSERT_TRUE(engine.Finalize().ok());
-    EXPECT_EQ(engine.executor().query_index().NumWildcard(), 1u);
-    EXPECT_EQ(engine.executor().query_index().NumLabels(), 0u);
-    engine.PushAll(*stream);
-    // Every non-deletion element is admitted and emitted (the window
-    // outlives the stream, so nothing expires).
-    EXPECT_EQ(engine.results(*added).size(), stream->size());
-    for (std::size_t i = 0; i < engine.results(*added).size(); ++i) {
-      EXPECT_EQ(engine.results(*added)[i].label, (*stream)[i].label);
-    }
+  Engine engine{EngineOptions{}};
+  // A bare wildcard scan: input_label = kInvalidLabel admits every
+  // label; WScanOp re-emits each arriving element under its own label.
+  const WindowSpec window(1000, 10);
+  auto added = engine.AddPlan(*MakeWScan(kInvalidLabel, window), vocab);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  ASSERT_TRUE(engine.Finalize().ok());
+  EXPECT_EQ(engine.executor().query_index().NumWildcard(), 1u);
+  EXPECT_EQ(engine.executor().query_index().NumLabels(), 0u);
+  engine.PushAll(*stream);
+  // Every non-deletion element is admitted and emitted (the window
+  // outlives the stream, so nothing expires).
+  EXPECT_EQ(engine.results(*added).size(), stream->size());
+  for (std::size_t i = 0; i < engine.results(*added).size(); ++i) {
+    EXPECT_EQ(engine.results(*added)[i].label, (*stream)[i].label);
   }
+  ExpectMatchesOracle(engine.results(*added), *stream,
+                      AnyLabelQuery(window, &vocab), vocab, "wildcard scan");
 }
 
-TEST(WildcardSourceTest, WildcardAndLabelQueriesCoexistByteIdentically) {
+TEST(WildcardSourceTest, WildcardAndLabelQueriesCoexist) {
   Vocabulary vocab;
   RandomStreamOptions opt;
   opt.seed = 5;
@@ -298,29 +303,22 @@ TEST(WildcardSourceTest, WildcardAndLabelQueriesCoexistByteIdentically) {
   opt.num_edges = 120;
   auto stream = GenerateRandomStream(opt, &vocab);
   ASSERT_TRUE(stream.ok());
-  auto labeled =
-      MakeQuery("Answer(x,z) <- a(x,y), b(y,z)", WindowSpec(12, 3), &vocab);
+  const WindowSpec window(12, 3);
+  auto labeled = MakeQuery("Answer(x,z) <- a(x,y), b(y,z)", window, &vocab);
   ASSERT_TRUE(labeled.ok());
 
-  std::vector<std::vector<Sgt>> runs;
-  for (const bool use_index : {false, true}) {
-    EngineOptions options;
-    options.use_query_index = use_index;
-    Engine engine{options};
-    auto wildcard =
-        engine.AddPlan(*MakeWScan(kInvalidLabel, WindowSpec(12, 3)), vocab);
-    ASSERT_TRUE(wildcard.ok());
-    auto q = engine.AddQuery(*labeled, vocab);
-    ASSERT_TRUE(q.ok());
-    ASSERT_TRUE(engine.Finalize().ok());
-    engine.PushAll(*stream);
-    std::vector<Sgt> combined = engine.results(*wildcard);
-    const std::vector<Sgt>& rest = engine.results(*q);
-    combined.insert(combined.end(), rest.begin(), rest.end());
-    EXPECT_FALSE(engine.results(*wildcard).empty());
-    runs.push_back(std::move(combined));
-  }
-  ExpectByteIdentical(runs[0], runs[1], "wildcard + labeled mix");
+  Engine engine{EngineOptions{}};
+  auto wildcard = engine.AddPlan(*MakeWScan(kInvalidLabel, window), vocab);
+  ASSERT_TRUE(wildcard.ok());
+  auto q = engine.AddQuery(*labeled, vocab);
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(engine.Finalize().ok());
+  engine.PushAll(*stream);
+  EXPECT_FALSE(engine.results(*wildcard).empty());
+  ExpectMatchesOracle(engine.results(*wildcard), *stream,
+                      AnyLabelQuery(window, &vocab), vocab, "wildcard");
+  ExpectMatchesOracle(engine.results(*q), *stream, *labeled, vocab,
+                      "labeled");
 }
 
 // ---------------------------------------------------------------------------
