@@ -28,9 +28,8 @@ int main() {
   using namespace sgq;
 
   // The deletion-heavy SO-like stream shared by every workload below.
-  // Smaller than bench_common::SoStream: the deletion-heavy PATTERN
-  // retraction replay is O(state) per deletion, so the stream is sized for
-  // seconds, not hours, at scale 1.
+  // Smaller than bench_common::SoStream; the size matches the committed
+  // baselines in bench/baselines/BENCH_state_hot.json.
   Vocabulary vocab;
   SoOptions so;
   so.num_vertices = bench::Scaled(320);

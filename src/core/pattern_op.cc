@@ -7,6 +7,26 @@
 
 namespace sgq {
 
+namespace {
+
+void PutPatternKey(std::string* out, const SmallVec<uint64_t, 3>& key) {
+  PutU32(out, static_cast<std::uint32_t>(key.size()));
+  for (uint64_t v : key) PutU64(out, v);
+}
+
+SmallVec<uint64_t, 3> GetPatternKey(ByteReader* in) {
+  SmallVec<uint64_t, 3> key;
+  const std::uint32_t n = in->U32();
+  for (std::uint32_t i = 0; i < n && in->ok(); ++i) key.push_back(in->U64());
+  return key;
+}
+
+bool KeyLess(const SmallVec<uint64_t, 3>& a, const SmallVec<uint64_t, 3>& b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+}  // namespace
+
 PatternOp::PatternOp(const LogicalOp& pattern,
                      std::vector<PatternPortState> port_state) {
   SGQ_CHECK(pattern.kind == LogicalOpKind::kPattern);
@@ -22,7 +42,10 @@ PatternOp::PatternOp(const LogicalOp& pattern,
     return it->second;
   };
   for (const auto& [src, trg] : pattern.child_vars) {
-    port_vars_.emplace_back(index_of(src), index_of(trg));
+    // Target first, sequenced (argument order is unspecified): bindings,
+    // join keys, replay order and checkpoint bytes follow this numbering.
+    const int trg_var = index_of(trg);
+    port_vars_.emplace_back(index_of(src), trg_var);
   }
   out_src_var_ = index_of(pattern.out_src_var);
   out_trg_var_ = index_of(pattern.out_trg_var);
@@ -186,19 +209,23 @@ bool PatternOp::MayReassert(const Binding& b) const {
 }
 
 void PatternOp::Cascade(std::size_t level, const Binding& acc, Mode mode) {
-  if (acc.iv.Empty()) return;
+  // kRetract walks through empty intervals too (projecting nothing), so
+  // its scrub also finds expired bindings embedding the deleted tuple.
+  if (acc.iv.Empty() && mode != Mode::kRetract) return;
   // Reassert replay prune: state writes below are idempotent, so only
   // bindings that can reach a retracted output value matter.
   if (mode == Mode::kReassert && !MayReassert(acc)) return;
   if (level >= levels_.size()) {
-    Project(acc, mode);
+    if (!acc.iv.Empty()) Project(acc, mode);
     return;
   }
   Level& lv = levels_[level];
   const Key key = ExtractKey(lv, acc);
-  // kRetract must not touch state; kReassert re-inserts idempotently
-  // (identical bindings coalesce away).
-  if (mode != Mode::kRetract) {
+  // kRetract only records the bucket for RetractForDeletion's scrub;
+  // kReassert re-inserts idempotently (identical bindings coalesce away).
+  if (mode == Mode::kRetract) {
+    retract_keys_.emplace_back(level, key);
+  } else {
     InsertCoalesced(static_cast<int>(level), /*left=*/true, key, acc);
   }
   ForEachRightMatch(level, key, [&](const Binding& other) {
@@ -285,24 +312,23 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
   }
 }
 
-template <typename Pred>
-void PatternOp::ScrubTable(Table* table, std::size_t* entries, Pred&& pred) {
-  for (auto it = table->begin(); it != table->end();) {
-    Bucket& bucket = it->second;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (pred(bucket[i])) continue;
-      if (keep != i) bucket[keep] = std::move(bucket[i]);
-      ++keep;
-    }
-    *entries -= bucket.size() - keep;
-    bucket.truncate(keep);
-    if (bucket.empty()) {
-      bucket.Release(&bucket_pool_);
-      it = table->erase(it);
-    } else {
-      ++it;
-    }
+template <typename Drop>
+void PatternOp::CompactBucket(Table* table, std::size_t* entries,
+                              const Key& key, Drop&& drop) {
+  auto it = table->find(key);
+  if (it == table->end()) return;
+  Bucket& bucket = it->second;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < bucket.size(); ++i) {
+    if (drop(bucket[i])) continue;
+    if (keep != i) bucket[keep] = std::move(bucket[i]);
+    ++keep;
+  }
+  *entries -= bucket.size() - keep;
+  bucket.truncate(keep);
+  if (bucket.empty()) {
+    bucket.Release(&bucket_pool_);
+    table->erase(it);
   }
 }
 
@@ -313,13 +339,14 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
   // 1. Emit negative tuples for every live output containing the deleted
   //    tuple, by replaying the join cascade without inserting.
   retracted_values_.clear();
+  Level* port_level =
+      port == 0 ? nullptr : &levels_[static_cast<std::size_t>(port - 1)];
+  const Key port_key = port == 0 ? Key() : ExtractKey(*port_level, b);
   if (port == 0) {
     Cascade(0, b, Mode::kRetract);
   } else {
-    Level& lv = levels_[static_cast<std::size_t>(port - 1)];
-    const Key key = ExtractKey(lv, b);
-    auto it = lv.left.find(key);
-    if (it != lv.left.end()) {
+    auto it = port_level->left.find(port_key);
+    if (it != port_level->left.end()) {
       for (const Binding& acc : it->second) {
         Binding merged = Merge(acc, b);
         Cascade(static_cast<std::size_t>(port), merged, Mode::kRetract);
@@ -338,27 +365,31 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
     }
     return true;
   };
-  if (port == 0) {
-    if (!levels_.empty()) {
-      ScrubTable(&levels_[0].left, &levels_[0].left_entries, matches);
-    }
-  } else {
-    Level& lv = levels_[static_cast<std::size_t>(port - 1)];
-    if (lv.store != nullptr) {
-      const auto& [src_var, trg_var] =
-          port_vars_[static_cast<std::size_t>(port)];
-      lv.store->RemoveValue(b.vals[static_cast<std::size_t>(src_var)],
-                            b.vals[static_cast<std::size_t>(trg_var)],
-                            lv.store_label);
+  // The port's own state: the value's bindings all sit under one key.
+  if (port_level != nullptr) {
+    if (port_level->store != nullptr) {
+      port_level->store->RemoveValue(tuple.src, tuple.trg,
+                                     port_level->store_label);
     } else {
-      ScrubTable(&lv.right, &lv.right_entries, matches);
+      CompactBucket(&port_level->right, &port_level->right_entries, port_key,
+                    matches);
     }
   }
-  // Accumulated bindings at levels >= port embed port tuples.
-  for (std::size_t j = static_cast<std::size_t>(std::max(1, port));
-       j < levels_.size(); ++j) {
-    ScrubTable(&levels_[j].left, &levels_[j].left_entries, matches);
+  // Left tables: only the buckets the retract cascade visited, which hold
+  // every binding embedding the deleted value, expired or not (DESIGN.md
+  // §5, "PATTERN deletions", has the argument).
+  std::sort(retract_keys_.begin(), retract_keys_.end(),
+            [](const auto& x, const auto& y) {
+              return x.first != y.first ? x.first < y.first
+                                        : KeyLess(x.second, y.second);
+            });
+  retract_keys_.erase(std::unique(retract_keys_.begin(), retract_keys_.end()),
+                      retract_keys_.end());
+  for (const auto& [level, key] : retract_keys_) {
+    Level& lv = levels_[level];
+    CompactBucket(&lv.left, &lv.left_entries, key, matches);
   }
+  retract_keys_.clear();
 
   // Sorted drain: the returned order is deterministic, so the sharded
   // executor's cross-shard union is reproducible.
@@ -372,9 +403,8 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
 void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
   // Re-assert: an output value retracted (on this shard or, under sharded
   // execution, on a sibling shard) may still hold via a derivation in the
-  // surviving local state. Replay the surviving port-0 bindings through
-  // the pipeline and re-emit positives for the retracted values.
-  // Deletions are rare (§6.2.5), so the full replay is acceptable.
+  // surviving local state. Replay the surviving port-0 bindings that can
+  // still derive a retracted value and re-emit positives for the values.
   if (retracted.empty() || levels_.empty()) return;
   retracted_values_.clear();
   retracted_srcs_.clear();
@@ -388,27 +418,21 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
     retracted_srcs_.insert(value.src);
     retracted_trgs_.insert(value.trg);
   }
-  // Copy (kReassert re-inserts, idempotently, while iterating), sorted by
-  // join key so the replay order — and with it the emission order — does
-  // not depend on hash-iteration order.
-  std::vector<std::pair<Key, const Bucket*>> buckets;
-  buckets.reserve(levels_[0].left.size());
+  // Copy the candidates (kReassert re-inserts while iterating; Cascade
+  // would cut the others anyway), ordered by join key, then bucket order,
+  // so the emission order does not depend on hash-iteration order.
+  std::vector<std::pair<const Key*, Binding>> candidates;
   for (const auto& [key, bucket] : levels_[0].left) {
-    buckets.emplace_back(key, &bucket);
+    for (const Binding& acc : bucket) {
+      if (MayReassert(acc)) candidates.emplace_back(&key, acc);
+    }
   }
-  std::sort(buckets.begin(), buckets.end(),
-            [](const auto& a, const auto& b) {
-              return std::lexicographical_compare(
-                  a.first.begin(), a.first.end(), b.first.begin(),
-                  b.first.end());
-            });
-  std::vector<Binding> port0;
-  for (const auto& [key, bucket] : buckets) {
-    (void)key;
-    port0.insert(port0.end(), bucket->begin(), bucket->end());
-  }
-  for (const Binding& acc : port0) {
-    Cascade(0, acc, Mode::kReassert);
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const auto& x, const auto& y) {
+                     return KeyLess(*x.first, *y.first);
+                   });
+  for (const auto& candidate : candidates) {  // keys may dangle now
+    Cascade(0, candidate.second, Mode::kReassert);
   }
   retracted_values_.clear();
 }
@@ -416,27 +440,16 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
 void PatternOp::Purge(Timestamp now) {
   binding_expiry_.DrainDue(now, [&](const BucketRef& ref) {
     Level& lv = levels_[static_cast<std::size_t>(ref.level)];
-    Table& table = ref.left ? lv.left : lv.right;
-    std::size_t& entries = ref.left ? lv.left_entries : lv.right_entries;
-    auto it = table.find(ref.key);
-    if (it == table.end()) return;  // stale hint: bucket is gone
-    Bucket& bucket = it->second;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      Binding& b = bucket[i];
-      if (b.iv.exp <= now) continue;  // expired: drop
-      if (binding_expiry_.NeedsReAdd(b.iv.exp, now)) {
-        binding_expiry_.Add(b.iv.exp, ref);
-      }
-      if (keep != i) bucket[keep] = std::move(b);
-      ++keep;
-    }
-    entries -= bucket.size() - keep;
-    bucket.truncate(keep);
-    if (bucket.empty()) {
-      bucket.Release(&bucket_pool_);
-      table.erase(it);
-    }
+    // A stale hint (bucket gone) is a no-op.
+    CompactBucket(ref.left ? &lv.left : &lv.right,
+                  ref.left ? &lv.left_entries : &lv.right_entries, ref.key,
+                  [&](const Binding& b) {
+                    if (b.iv.exp <= now) return true;  // expired: drop
+                    if (binding_expiry_.NeedsReAdd(b.iv.exp, now)) {
+                      binding_expiry_.Add(b.iv.exp, ref);
+                    }
+                    return false;
+                  });
   });
   for (Level& lv : levels_) {
     if (lv.store != nullptr) lv.store->PurgeExpired(now);
@@ -483,30 +496,10 @@ std::size_t PatternOp::num_store_backed_ports() const {
   return n;
 }
 
-namespace {
-
-void PutPatternKey(std::string* out, const SmallVec<uint64_t, 3>& key) {
-  PutU32(out, static_cast<std::uint32_t>(key.size()));
-  for (uint64_t v : key) PutU64(out, v);
-}
-
-SmallVec<uint64_t, 3> GetPatternKey(ByteReader* in) {
-  SmallVec<uint64_t, 3> key;
-  const std::uint32_t n = in->U32();
-  for (std::uint32_t i = 0; i < n && in->ok(); ++i) key.push_back(in->U64());
-  return key;
-}
-
-bool KeyLess(const SmallVec<uint64_t, 3>& a, const SmallVec<uint64_t, 3>& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
-
-}  // namespace
-
 void PatternOp::SerializeTable(const Table& table, std::string* out) {
   // Keys sorted (deterministic checkpoint bytes); bucket contents verbatim
-  // — every bucket mutation (ScrubTable, Purge) compacts order-preservingly,
-  // so restoring bindings in stored order reproduces probe order exactly.
+  // — inserts append and CompactBucket compacts order-preservingly, so
+  // restoring bindings in stored order reproduces probe order exactly.
   std::vector<Key> keys;
   keys.reserve(table.size());
   for (const auto& [key, bucket] : table) {
@@ -529,10 +522,14 @@ void PatternOp::SerializeTable(const Table& table, std::string* out) {
   }
 }
 
-Status PatternOp::DeserializeTable(Table* table, ByteReader* in) {
+Status PatternOp::DeserializeTable(Table* table, std::size_t key_len,
+                                   ByteReader* in) {
   const std::uint64_t num_keys = in->U64();
   for (std::uint64_t k = 0; k < num_keys && in->ok(); ++k) {
     Key key = GetPatternKey(in);
+    if (in->ok() && key.size() != key_len) {
+      return in->Fail("PATTERN join key length does not match its level");
+    }
     const std::uint32_t n = in->U32();
     if (!in->ok()) break;
     auto [it, inserted] = table->try_emplace(std::move(key));
@@ -541,6 +538,9 @@ Status PatternOp::DeserializeTable(Table* table, ByteReader* in) {
     for (std::uint32_t i = 0; i < n && in->ok(); ++i) {
       Binding b;
       const std::uint32_t nvals = in->U32();
+      if (in->ok() && nvals != num_vars_) {
+        return in->Fail("PATTERN binding arity does not match the pattern");
+      }
       for (std::uint32_t v = 0; v < nvals && in->ok(); ++v) {
         b.vals.push_back(in->U64());
       }
@@ -553,6 +553,7 @@ Status PatternOp::DeserializeTable(Table* table, ByteReader* in) {
 }
 
 void PatternOp::SerializeState(std::string* out) const {
+  SGQ_CHECK(retract_keys_.empty());
   PutU32(out, static_cast<std::uint32_t>(levels_.size()));
   for (const Level& lv : levels_) {
     SerializeTable(lv.left, out);
@@ -592,7 +593,7 @@ Status PatternOp::DeserializeState(ByteReader* in) {
                     "with a different plan topology)");
   }
   for (Level& lv : levels_) {
-    SGQ_RETURN_NOT_OK(DeserializeTable(&lv.left, in));
+    SGQ_RETURN_NOT_OK(DeserializeTable(&lv.left, lv.key_vars.size(), in));
     lv.left_entries = in->U64();
     const bool store_backed = in->U8() != 0;
     if (in->ok() && store_backed != (lv.store != nullptr)) {
@@ -600,7 +601,8 @@ Status PatternOp::DeserializeState(ByteReader* in) {
                       "taken with a different plan topology)");
     }
     if (lv.store == nullptr) {
-      SGQ_RETURN_NOT_OK(DeserializeTable(&lv.right, in));
+      SGQ_RETURN_NOT_OK(
+          DeserializeTable(&lv.right, lv.key_vars.size(), in));
       lv.right_entries = in->U64();
     }
   }
@@ -614,6 +616,11 @@ Status PatternOp::DeserializeState(ByteReader* in) {
     if (in->ok() &&
         static_cast<std::size_t>(ref.level) >= levels_.size()) {
       return in->Fail("expiry hint references a level out of range");
+    }
+    if (in->ok() &&
+        ref.key.size() !=
+            levels_[static_cast<std::size_t>(ref.level)].key_vars.size()) {
+      return in->Fail("expiry hint key length does not match its level");
     }
     binding_expiry_.Add(exp, std::move(ref));
   }

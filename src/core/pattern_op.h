@@ -118,8 +118,10 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// binding order is round-trippable), entry counters, the binding-expiry
   /// calendar in drain order, and the output coalescer. Store-backed port
   /// state lives in WindowStore partitions checkpointed by the registry;
-  /// the in-flight retraction scratch sets are provably empty at batch
-  /// boundaries and are not serialized.
+  /// the in-flight retraction scratch (retracted values, retract_keys_) is
+  /// empty at batch boundaries and is not serialized. Restore rejects a
+  /// binding whose arity is not the pattern's variable count and a table
+  /// key or expiry-hint key whose length is not its level's.
   void SerializeState(std::string* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
@@ -205,13 +207,15 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// Projects a complete binding to the output sgt and emits it.
   void Project(const Binding& b, Mode mode);
 
-  /// Scrubs every binding matching `pred` from `table`, maintaining the
-  /// entry counter and recycling emptied buckets through bucket_pool_.
-  template <typename Pred>
-  void ScrubTable(Table* table, std::size_t* entries, Pred&& pred);
+  /// Drops the bindings matching `drop` from the bucket at `key`, if any,
+  /// order-preservingly; maintains the entry counter and recycles an
+  /// emptied bucket through bucket_pool_.
+  template <typename Drop>
+  void CompactBucket(Table* table, std::size_t* entries, const Key& key,
+                     Drop&& drop);
 
   static void SerializeTable(const Table& table, std::string* out);
-  Status DeserializeTable(Table* table, ByteReader* in);
+  Status DeserializeTable(Table* table, std::size_t key_len, ByteReader* in);
 
   int num_ports_;
   /// Backing store of every level's bucket overflow. Declared before
@@ -237,6 +241,9 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// observationally equivalent to replaying it.
   FlatSet<VertexId> retracted_srcs_;
   FlatSet<VertexId> retracted_trgs_;
+  /// Left-table buckets (level, key) the kRetract cascade visited: the
+  /// ones RetractForDeletion scrubs. Empty outside that call.
+  std::vector<std::pair<std::size_t, Key>> retract_keys_;
 
   /// \brief True when `b` could still derive a retracted output value.
   bool MayReassert(const Binding& b) const;

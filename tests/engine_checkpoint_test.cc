@@ -141,6 +141,45 @@ TEST(EngineCheckpointTest, EveryBatchBoundaryIsACleanRecoveryPoint) {
   std::remove(path.c_str());
 }
 
+TEST(EngineCheckpointTest, PatternDeletionStreamResumesByteIdentically) {
+  // PATTERN-only plans under a deletion-heavy stream: every deletion
+  // scrubs the buckets its retract cascade reached and replays the
+  // re-assert candidates, and the retract scratch is empty at every batch
+  // boundary (it is not serialized). A checkpoint taken mid-stream must
+  // resume to exactly the uninterrupted output.
+  Vocabulary vocab;
+  const InputStream stream = DeletionHeavyStream(&vocab, 13, 240);
+  int config = 0;
+  for (const char* text : {"Answer(x,w) <- a(x,y), b(y,z), c(z,w)",
+                           "Answer(x,v) <- a(x,y), b(y,z), c(z,w), a(w,v)",
+                           "Answer(x,w) <- a(x,y), b(z,w), c(w,x)"}) {
+    auto query = MakeQuery(text, WindowSpec(20, 2), &vocab);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    for (std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
+      EngineOptions options;
+      options.batch_size = batch;
+      const std::vector<Sgt> expected =
+          ReferenceRun(stream, *query, vocab, options);
+      std::size_t retractions = 0;
+      for (const Sgt& t : expected) retractions += t.is_deletion ? 1 : 0;
+      ASSERT_GT(retractions, 0u) << text;
+
+      const std::string path =
+          TempPath("ckpt_pattern_" + std::to_string(config++) + ".sgqc");
+      std::vector<Sgt> resumed;
+      auto metrics = RunSgaCheckpointKill(stream, *query, vocab, options,
+                                          path, stream.size() / 2,
+                                          3 * stream.size() / 4, "pattern",
+                                          &resumed);
+      ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+      ExpectIdenticalResults(expected, resumed,
+                             std::string(text) +
+                                 " batch=" + std::to_string(batch));
+      std::remove(path.c_str());
+    }
+  }
+}
+
 TEST(EngineCheckpointTest, ShardedResumeStaysDeterministic) {
   // workers>1 relaxes the bar from byte-identical to the sharded contract:
   // the resumed run must equal the *uninterrupted sharded* run, which is

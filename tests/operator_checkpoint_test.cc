@@ -12,10 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "algebra/logical_plan.h"
+#include "core/pattern_op.h"
 #include "core/reorder_buffer.h"
 #include "core/window_store.h"
 #include "model/checkpoint.h"
 #include "model/coalesce.h"
+#include "model/vocabulary.h"
+#include "runtime/channel.h"
 
 namespace sgq {
 namespace {
@@ -207,6 +211,177 @@ TEST(StreamingCoalescerCheckpointTest, NonEmptyTargetRefused) {
   dirty.Offer(Sgt(3, 4, 0, Interval(0, 10)));
   ByteReader in(bytes, "dirty");
   EXPECT_FALSE(dirty.DeserializeState(&in).ok());
+}
+
+// ---------------------------------------------------------------------------
+// PatternOp
+// ---------------------------------------------------------------------------
+
+class CollectOp : public PhysicalOp {
+ public:
+  void OnTuple(int port, const Sgt& tuple) override {
+    (void)port;
+    tuples.push_back(tuple);
+  }
+  std::string Name() const override { return "COLLECT"; }
+  std::vector<Sgt> tuples;
+};
+
+/// \brief A 3-atom chain a(x,y), b(y,z), c(z,w) -> (x,w) with every port
+/// in a private table (no WindowStore partitions), so all join state
+/// round-trips through PatternOp's own encoding.
+class PatternCheckpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const char* name : {"a", "b", "c"}) {
+      labels_.push_back(*vocab_.InternInputLabel(name));
+    }
+    out_ = *vocab_.InternDerivedLabel("out");
+    std::vector<LogicalPlan> children;
+    for (LabelId l : labels_) {
+      children.push_back(MakeWScan(l, WindowSpec(20, 1)));
+    }
+    plan_ = MakePattern(out_, {{"x", "y"}, {"y", "z"}, {"z", "w"}}, "x", "w",
+                        std::move(children));
+  }
+
+  /// \brief Random inserts and deletions on every port; `sink` sees the
+  /// emissions. Deterministic in `seed` and `from`.
+  void Churn(PatternOp* op, std::uint32_t seed, Timestamp from, int n) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<VertexId> vertex(0, 5);
+    std::uniform_int_distribution<int> port(0, 2);
+    std::uniform_int_distribution<int> action(0, 9);
+    Timestamp t = from;
+    for (int i = 0; i < n; ++i) {
+      t += i % 3 == 0 ? 1 : 0;
+      const int p = port(rng);
+      const VertexId s = vertex(rng);
+      const VertexId g = vertex(rng);
+      const LabelId l = labels_[static_cast<std::size_t>(p)];
+      if (action(rng) < 2) {
+        op->OnTuple(p, Sgt(s, g, l, Interval(t, kMaxTimestamp), {},
+                           /*del=*/true));
+      } else {
+        op->OnTuple(p, Sgt(s, g, l, Interval(t, t + 20)));
+      }
+      if (i % 40 == 39) op->Purge(t);
+    }
+  }
+
+  /// \brief The payload of an empty PatternOp of this shape, with one
+  /// level-0 left binding and its expiry hint spliced in. Each length can
+  /// be set wrong independently; the CRC-free bytes are otherwise valid.
+  std::string CraftedState(std::uint32_t key_len, std::uint32_t arity,
+                           std::uint32_t hint_key_len) {
+    std::string out;
+    PutU32(&out, 2);  // levels
+    // Level 0: one left bucket (key y) holding one binding.
+    PutU64(&out, 1);
+    PutU32(&out, key_len);
+    for (std::uint32_t i = 0; i < key_len; ++i) PutU64(&out, 7);
+    PutU32(&out, 1);
+    PutU32(&out, arity);
+    for (std::uint32_t i = 0; i < arity; ++i) PutU64(&out, 7);
+    PutI64(&out, 0);
+    PutI64(&out, 20);
+    PutU64(&out, 1);  // left entries
+    PutU8(&out, 0);   // private right table
+    PutU64(&out, 0);  // ... with no keys
+    PutU64(&out, 0);
+    // Level 1: empty.
+    PutU64(&out, 0);
+    PutU64(&out, 0);
+    PutU8(&out, 0);
+    PutU64(&out, 0);
+    PutU64(&out, 0);
+    // One expiry hint for the level-0 bucket.
+    PutU64(&out, 1);
+    PutI64(&out, 20);
+    PutU32(&out, 0);
+    PutU8(&out, 1);
+    PutU32(&out, hint_key_len);
+    for (std::uint32_t i = 0; i < hint_key_len; ++i) PutU64(&out, 7);
+    StreamingCoalescer().SerializeState(&out);
+    return out;
+  }
+
+  Vocabulary vocab_;
+  std::vector<LabelId> labels_;
+  LabelId out_ = kInvalidLabel;
+  LogicalPlan plan_;
+};
+
+TEST_F(PatternCheckpointTest, RoundTripAfterDeletionsPreservesEmissions) {
+  for (std::uint32_t seed : {2u, 9u, 31u}) {
+    PatternOp original(*plan_);
+    CollectOp original_sink;
+    OutputChannel original_wire(&original_sink, 0);
+    original.BindOutput(&original_wire);
+    Churn(&original, seed, 0, 300);
+    ASSERT_GT(original.StateSize(), 0u);
+
+    PatternOp restored(*plan_);
+    CollectOp restored_sink;
+    OutputChannel restored_wire(&restored_sink, 0);
+    restored.BindOutput(&restored_wire);
+    RoundTrip(original, &restored);
+    EXPECT_EQ(restored.StateSize(), original.StateSize());
+
+    // Same retractions, re-assertions and joins from here on, in order.
+    original_sink.tuples.clear();
+    Churn(&original, seed + 1, 200, 300);
+    Churn(&restored, seed + 1, 200, 300);
+    ASSERT_EQ(original_sink.tuples.size(), restored_sink.tuples.size())
+        << "seed " << seed;
+    for (std::size_t i = 0; i < original_sink.tuples.size(); ++i) {
+      EXPECT_TRUE(original_sink.tuples[i] == restored_sink.tuples[i])
+          << "seed " << seed << " emission " << i;
+    }
+    std::string a, b;
+    original.SerializeState(&a);
+    restored.SerializeState(&b);
+    EXPECT_EQ(a, b) << "seed " << seed;
+  }
+}
+
+TEST_F(PatternCheckpointTest, MalformedLengthsRejectedWithPosition) {
+  // Level 0 joins on y (one key value); bindings bind x, y, z and w.
+  {
+    PatternOp op(*plan_);
+    const std::string bytes = CraftedState(1, 4, 1);
+    ByteReader in(bytes, "well-formed");
+    Status st = op.DeserializeState(&in);
+    if (st.ok()) st = in.ExpectEnd();
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(op.StateSize(), 1u);
+  }
+  struct Case {
+    std::uint32_t key_len, arity, hint_key_len;
+    const char* message;
+  };
+  const Case cases[] = {
+      {1, 2, 1, "binding arity"},  // too few values: reads past vals
+      {1, 5, 1, "binding arity"},
+      {1, 0, 1, "binding arity"},
+      {0, 4, 1, "join key length"},
+      {3, 4, 1, "join key length"},
+      {1, 4, 0, "expiry hint key length"},
+      {1, 4, 2, "expiry hint key length"},
+  };
+  for (const Case& c : cases) {
+    PatternOp op(*plan_);
+    const std::string bytes = CraftedState(c.key_len, c.arity, c.hint_key_len);
+    ByteReader in(bytes, "crafted");
+    const Status st = op.DeserializeState(&in);
+    ASSERT_FALSE(st.ok()) << "accepted key_len=" << c.key_len
+                          << " arity=" << c.arity
+                          << " hint_key_len=" << c.hint_key_len;
+    EXPECT_NE(st.message().find(c.message), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.message().find("crafted: offset "), std::string::npos)
+        << st.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
