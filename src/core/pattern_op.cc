@@ -50,6 +50,12 @@ PatternOp::PatternOp(const LogicalOp& pattern,
   out_src_var_ = index_of(pattern.out_src_var);
   out_trg_var_ = index_of(pattern.out_trg_var);
   num_vars_ = var_index.size();
+  for (int v : {out_src_var_, out_trg_var_}) {
+    if (v == port_vars_[0].first || v == port_vars_[0].second) {
+      posting_var_ = v;
+      break;
+    }
+  }
 
   // Level j joins acc(ports 0..j) with port j+1 on their shared variables.
   std::set<int> acc_vars = {port_vars_[0].first, port_vars_[0].second};
@@ -183,6 +189,7 @@ void PatternOp::InsertCoalesced(int level, bool left, const Key& key,
     }
   }
   binding_expiry_.Add(b.iv.exp, BucketRef{level, left, key});
+  if (postings_built_ && level == 0 && left) AddPosting(b, key);
   bucket.push_back(&bucket_pool_, std::move(b));
   ++entries;
 }
@@ -213,8 +220,12 @@ void PatternOp::Cascade(std::size_t level, const Binding& acc, Mode mode) {
   // its scrub also finds expired bindings embedding the deleted tuple.
   if (acc.iv.Empty() && mode != Mode::kRetract) return;
   // Reassert replay prune: state writes below are idempotent, so only
-  // bindings that can reach a retracted output value matter.
-  if (mode == Mode::kReassert && !MayReassert(acc)) return;
+  // bindings that can reach a retracted output value matter, and only
+  // while they outlive the deletion (joins never extend an interval).
+  if (mode == Mode::kReassert &&
+      (acc.iv.exp <= reassert_time_ || !MayReassert(acc))) {
+    return;
+  }
   if (level >= levels_.size()) {
     if (!acc.iv.Empty()) Project(acc, mode);
     return;
@@ -270,7 +281,7 @@ void PatternOp::OnTuple(int port, const Sgt& tuple) {
     // single-threaded retract + reassert exactly (the extra Forget in
     // ReassertRetracted is a no-op on values already forgotten by the
     // retract cascade).
-    ReassertRetracted(RetractForDeletion(port, tuple));
+    ReassertRetracted(RetractForDeletion(port, tuple), tuple.validity.ts);
     return;
   }
   Binding b;
@@ -318,9 +329,13 @@ void PatternOp::CompactBucket(Table* table, std::size_t* entries,
   auto it = table->find(key);
   if (it == table->end()) return;
   Bucket& bucket = it->second;
+  const bool posted = postings_built_ && table == &levels_[0].left;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < bucket.size(); ++i) {
-    if (drop(bucket[i])) continue;
+    if (drop(bucket[i])) {
+      if (posted) DropPosting(bucket[i], key);
+      continue;
+    }
     if (keep != i) bucket[keep] = std::move(bucket[i]);
     ++keep;
   }
@@ -400,7 +415,8 @@ std::vector<EdgeRef> PatternOp::RetractForDeletion(int port,
   return out;
 }
 
-void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
+void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted,
+                                  Timestamp now) {
   // Re-assert: an output value retracted (on this shard or, under sharded
   // execution, on a sibling shard) may still hold via a derivation in the
   // surviving local state. Replay the surviving port-0 bindings that can
@@ -418,26 +434,91 @@ void PatternOp::ReassertRetracted(const std::vector<EdgeRef>& retracted) {
     retracted_srcs_.insert(value.src);
     retracted_trgs_.insert(value.trg);
   }
+  reassert_time_ = now;
+  // The level-0 buckets that can hold a candidate: the postings of the
+  // retracted values of posting_var_, else every bucket.
+  const Table& table = levels_[0].left;
+  std::vector<const Key*> keys;
+  if (posting_var_ < 0) {
+    keys.reserve(table.size());
+    for (const auto& [key, bucket] : table) {
+      (void)bucket;
+      keys.push_back(&key);
+    }
+  } else {
+    if (!postings_built_) BuildPostings();
+    for (VertexId v : posting_var_ == out_src_var_ ? retracted_srcs_
+                                                   : retracted_trgs_) {
+      const auto it = postings_.find(v);
+      if (it == postings_.end()) continue;
+      for (const Posting& p : it->second) keys.push_back(&p.key);
+    }
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const Key* x, const Key* y) { return KeyLess(*x, *y); });
+  keys.erase(std::unique(keys.begin(), keys.end(),
+                         [](const Key* x, const Key* y) { return *x == *y; }),
+             keys.end());
   // Copy the candidates (kReassert re-inserts while iterating; Cascade
   // would cut the others anyway), ordered by join key, then bucket order,
   // so the emission order does not depend on hash-iteration order.
-  std::vector<std::pair<const Key*, Binding>> candidates;
-  for (const auto& [key, bucket] : levels_[0].left) {
-    for (const Binding& acc : bucket) {
-      if (MayReassert(acc)) candidates.emplace_back(&key, acc);
+  std::vector<Binding> candidates;
+  for (const Key* key : keys) {
+    const auto it = table.find(*key);
+    SGQ_DCHECK(it != table.end());
+    for (const Binding& acc : it->second) {
+      if (acc.iv.exp > now && MayReassert(acc)) candidates.push_back(acc);
     }
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const auto& x, const auto& y) {
-                     return KeyLess(*x.first, *y.first);
-                   });
-  for (const auto& candidate : candidates) {  // keys may dangle now
-    Cascade(0, candidate.second, Mode::kReassert);
+  for (const Binding& candidate : candidates) {
+    Cascade(0, candidate, Mode::kReassert);
   }
   retracted_values_.clear();
 }
 
-void PatternOp::Purge(Timestamp now) {
+void PatternOp::BuildPostings() {
+  postings_built_ = true;
+  for (const auto& [key, bucket] : levels_[0].left) {
+    for (const Binding& b : bucket) AddPosting(b, key);
+  }
+}
+
+void PatternOp::AddPosting(const Binding& b, const Key& key) {
+  auto [it, inserted] =
+      postings_.try_emplace(b.vals[static_cast<std::size_t>(posting_var_)]);
+  (void)inserted;
+  PostingList& list = it->second;
+  for (Posting& p : list) {
+    if (p.key == key) {
+      ++p.count;
+      return;
+    }
+  }
+  list.push_back(&bucket_pool_, Posting{key, 1});
+}
+
+void PatternOp::DropPosting(const Binding& b, const Key& key) {
+  const auto it =
+      postings_.find(b.vals[static_cast<std::size_t>(posting_var_)]);
+  SGQ_DCHECK(it != postings_.end());
+  PostingList& list = it->second;
+  const std::size_t last = list.size() - 1;
+  for (std::size_t i = 0; i <= last; ++i) {
+    if (!(list[i].key == key)) continue;
+    if (--list[i].count > 0) return;
+    // Unordered list: the re-assert sorts the keys it gathers.
+    if (i != last) list[i] = std::move(list[last]);
+    list.truncate(last);
+    if (list.empty()) {
+      list.Release(&bucket_pool_);
+      postings_.erase(it);
+    }
+    return;
+  }
+  SGQ_DCHECK(false);
+}
+
+void PatternOp::PurgeJoinState(Timestamp now) {
   binding_expiry_.DrainDue(now, [&](const BucketRef& ref) {
     Level& lv = levels_[static_cast<std::size_t>(ref.level)];
     // A stale hint (bucket gone) is a no-op.
@@ -454,7 +535,27 @@ void PatternOp::Purge(Timestamp now) {
   for (Level& lv : levels_) {
     if (lv.store != nullptr) lv.store->PurgeExpired(now);
   }
+}
+
+void PatternOp::Purge(Timestamp now) {
+  PurgeJoinState(now);
   out_coalescer_.PurgeBefore(now);
+}
+
+void PatternOp::MaybePurge(Timestamp now) {
+  PurgeJoinState(now);
+  if (WatermarkReached(out_coalescer_.NumKeys())) {
+    out_coalescer_.PurgeBefore(now);
+    RearmWatermark(out_coalescer_.NumKeys());
+  }
+}
+
+bool PatternOp::PurgeDue(Timestamp now) const {
+  if (binding_expiry_.AnyDue(now)) return true;
+  for (const Level& lv : levels_) {
+    if (lv.store != nullptr && lv.store->PurgeDue(now)) return true;
+  }
+  return WatermarkReached(out_coalescer_.NumKeys());
 }
 
 std::size_t PatternOp::StateSize() const {
@@ -484,6 +585,12 @@ std::size_t PatternOp::StateBytes() const {
   for (const Level& lv : levels_) {
     n += table_bytes(lv.left);
     n += lv.store != nullptr ? lv.store->StateBytes() : table_bytes(lv.right);
+  }
+  // Posting-list overflow is in bucket_pool_ (counted above).
+  n += postings_.capacity_bytes();
+  for (const auto& [value, list] : postings_) {
+    (void)value;
+    for (const Posting& p : list) n += p.key.overflow_bytes();
   }
   return n;
 }
@@ -587,6 +694,10 @@ Status PatternOp::DeserializeState(ByteReader* in) {
   if (private_entries != 0) {
     return in->Fail("PATTERN operator not empty before restore");
   }
+  // The postings of an empty level-0 table are empty; mark them unbuilt
+  // so the next re-assert builds them from the restored table.
+  SGQ_DCHECK(postings_.empty());
+  postings_built_ = false;
   const std::uint32_t num_levels = in->U32();
   if (in->ok() && num_levels != levels_.size()) {
     return in->Fail("PATTERN level count mismatch (checkpoint was taken "

@@ -28,7 +28,7 @@
 // size-class freelists — so bucket growth never touches the global heap.
 // Expired bindings are reclaimed through a slide-aligned expiry calendar —
 // Purge() touches only buckets whose expiry range passed, not the whole
-// table.
+// table — at every slide boundary (MaybePurge).
 
 #ifndef SGQ_CORE_PATTERN_OP_H_
 #define SGQ_CORE_PATTERN_OP_H_
@@ -75,6 +75,14 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
 
   void OnTuple(int port, const Sgt& tuple) override;
   void Purge(Timestamp now) override;
+  /// \brief Purges the join tables and store-backed ports at every slide
+  /// boundary through their expiry calendars (cost: what expired); only
+  /// the output coalescer's full scan keeps the amortized watermark,
+  /// which then tracks the coalescer's size.
+  void MaybePurge(Timestamp now) override;
+  /// \brief True when a join-table or store calendar has a due bucket or
+  /// the coalescer's watermark is reached.
+  bool PurgeDue(Timestamp now) const override;
   std::string Name() const override { return "PATTERN"; }
   std::size_t StateSize() const override;
   std::size_t StateBytes() const override;
@@ -105,8 +113,21 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// @{
   std::vector<EdgeRef> RetractForDeletion(int port,
                                           const Sgt& tuple) override;
-  void ReassertRetracted(const std::vector<EdgeRef>& retracted) override;
+  void ReassertRetracted(const std::vector<EdgeRef>& retracted,
+                         Timestamp now) override;
   /// @}
+
+  /// \brief True once the level-0 postings exist (built on the first
+  /// re-assert; tests).
+  bool postings_built() const { return postings_built_; }
+  /// \brief Calls fn(value, key, count) for every level-0 posting, in
+  /// no particular order (tests).
+  template <typename Fn>
+  void ForEachPosting(Fn&& fn) const {
+    for (const auto& [value, list] : postings_) {
+      for (const Posting& p : list) fn(value, p.key, p.count);
+    }
+  }
 
   /// \brief Number of ports whose state is WindowStore-backed
   /// (diagnostics).
@@ -119,9 +140,11 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// calendar in drain order, and the output coalescer. Store-backed port
   /// state lives in WindowStore partitions checkpointed by the registry;
   /// the in-flight retraction scratch (retracted values, retract_keys_) is
-  /// empty at batch boundaries and is not serialized. Restore rejects a
-  /// binding whose arity is not the pattern's variable count and a table
-  /// key or expiry-hint key whose length is not its level's.
+  /// empty at batch boundaries and is not serialized, and neither are the
+  /// level-0 postings (rebuilt on the first re-assert after a restore).
+  /// Restore rejects a binding whose arity is not the pattern's variable
+  /// count and a table key or expiry-hint key whose length is not its
+  /// level's.
   void SerializeState(std::string* out) const override;
   Status DeserializeState(ByteReader* in) override;
 
@@ -142,6 +165,15 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// path, see ROADMAP "Arena-backed PATTERN buckets").
   using Bucket = PoolVec<Binding, 1>;
   using Table = FlatMap<Key, Bucket, SmallVecHash>;
+
+  /// One level-0 left key whose bucket holds `count` bindings with the
+  /// posted value.
+  struct Posting {
+    Key key;
+    std::uint32_t count;
+  };
+  /// Posting list of one value: usually one key, overflow in bucket_pool_.
+  using PostingList = PoolVec<Posting, 1>;
 
   /// Locator of one join-table bucket for the expiry calendar.
   struct BucketRef {
@@ -214,6 +246,15 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   void CompactBucket(Table* table, std::size_t* entries, const Key& key,
                      Drop&& drop);
 
+  /// Drains the binding-expiry calendar and the store-backed partitions
+  /// up to `now`: every join-table binding with exp <= now is dropped.
+  void PurgeJoinState(Timestamp now);
+
+  /// Level-0 postings upkeep (no-ops until the postings are built).
+  void BuildPostings();
+  void AddPosting(const Binding& b, const Key& key);
+  void DropPosting(const Binding& b, const Key& key);
+
   static void SerializeTable(const Table& table, std::string* out);
   Status DeserializeTable(Table* table, std::size_t key_len, ByteReader* in);
 
@@ -241,6 +282,20 @@ class PatternOp : public PhysicalOp, public DeletionCoordination {
   /// observationally equivalent to replaying it.
   FlatSet<VertexId> retracted_srcs_;
   FlatSet<VertexId> retracted_trgs_;
+  /// Deletion instant of the in-flight re-assert: kReassert cuts every
+  /// binding whose interval ends at or before it.
+  Timestamp reassert_time_ = 0;
+  /// Level-0 postings: value of `posting_var_` -> the levels_[0].left keys
+  /// whose bucket holds a binding with that value, so a re-assert walks
+  /// only the buckets of the retracted values instead of the whole
+  /// table. `posting_var_` is the output variable port 0 binds
+  /// (out_src_var_, else out_trg_var_), -1 when it binds neither (the
+  /// re-assert then walks every bucket). Built on the first re-assert —
+  /// insert-only operators never pay for it — and maintained exactly by
+  /// InsertCoalesced and CompactBucket from then on.
+  int posting_var_ = -1;
+  bool postings_built_ = false;
+  FlatMap<VertexId, PostingList> postings_;
   /// Left-table buckets (level, key) the kRetract cascade visited: the
   /// ones RetractForDeletion scrubs. Empty outside that call.
   std::vector<std::pair<std::size_t, Key>> retract_keys_;

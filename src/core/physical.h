@@ -59,22 +59,26 @@ class PhysicalOp {
   /// probes because interval intersections come out empty).
   virtual void Purge(Timestamp now) { (void)now; }
 
-  /// \brief Amortized purge used by the runtime at slide boundaries: a full
-  /// Purge() scan runs only once the operator's state has doubled since
-  /// the last purge, keeping purge cost O(state) amortized instead of
-  /// O(state) per slide.
-  void MaybePurge(Timestamp now) {
-    const std::size_t size = StateSize();
-    if (size < purge_watermark_) return;
+  /// \brief Purge the runtime runs at every slide boundary. Default:
+  /// amortized — a full Purge() scan runs only once StateSize() has
+  /// doubled since the last one, so an operator whose purge scans all of
+  /// its state (PATH's trees) pays O(state) amortized, not O(state) per
+  /// slide. Operators whose expired entries are indexed by an expiry
+  /// calendar (multi-atom PATTERN) override it to purge at every
+  /// boundary, at the cost of what expired.
+  virtual void MaybePurge(Timestamp now) {
+    if (!WatermarkReached(StateSize())) return;
     Purge(now);
-    purge_watermark_ = std::max<std::size_t>(1024, 2 * StateSize());
+    RearmWatermark(StateSize());
   }
 
-  /// \brief True when the next MaybePurge will run a full Purge scan. The
-  /// sharded executor uses this to skip the worker-pool dispatch on the
-  /// (common) slide boundaries where every shard's watermark check would
-  /// return immediately.
-  bool PurgeDue() const { return StateSize() >= purge_watermark_; }
+  /// \brief True when MaybePurge(now) has purge work to do. The sharded
+  /// executor uses this to skip the worker-pool dispatch on the slide
+  /// boundaries where every shard's check would return immediately.
+  virtual bool PurgeDue(Timestamp now) const {
+    (void)now;
+    return WatermarkReached(StateSize());
+  }
 
   /// \brief Sets the expiry-calendar bucket granularity of stateful
   /// operators to the engine's window slide. Called by the executor at
@@ -166,6 +170,16 @@ class PhysicalOp {
     if (out_ != nullptr) out_->Push(tuple);
   }
 
+  /// \brief The amortized-purge watermark: true once `size` (the state
+  /// the amortized scan covers) reached it; RearmWatermark sets the next
+  /// one from the size the scan left.
+  bool WatermarkReached(std::size_t size) const {
+    return size >= purge_watermark_;
+  }
+  void RearmWatermark(std::size_t size) {
+    purge_watermark_ = std::max<std::size_t>(1024, 2 * size);
+  }
+
  private:
   OutputChannel* out_ = nullptr;
   std::size_t purge_watermark_ = 1024;
@@ -193,9 +207,9 @@ class SourceOp : public PhysicalOp {
 ///     the negative tuples, scrubs local state, and returns the retracted
 ///     output values.
 ///  2. ReassertRetracted with the *union* of all shards' retracted values
-///     on every shard — each shard re-emits positives for the values it
-///     can still derive, so a value with a surviving witness anywhere is
-///     re-asserted after the retraction.
+///     and the deletion instant on every shard — each shard re-emits
+///     positives for the values it can still derive, so a value with a
+///     surviving witness anywhere is re-asserted after the retraction.
 ///
 /// The unsharded path composes the two phases back-to-back on the single
 /// instance, which reproduces the original single-threaded deletion
@@ -212,8 +226,11 @@ class DeletionCoordination {
                                                   const Sgt& tuple) = 0;
 
   /// \brief Phase 2: re-derives every value in `retracted` that local
-  /// state still supports and re-emits its positive tuple.
-  virtual void ReassertRetracted(const std::vector<EdgeRef>& retracted) = 0;
+  /// state still supports and re-emits its positive tuple. `now` is the
+  /// deletion instant: a derivation whose interval ends at or before it
+  /// changes no snapshot from then on and is not re-emitted.
+  virtual void ReassertRetracted(const std::vector<EdgeRef>& retracted,
+                                 Timestamp now) = 0;
 };
 
 /// \brief Physical implementation choices for the PATH logical operator.

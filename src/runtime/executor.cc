@@ -627,7 +627,8 @@ void Executor::RunCoordinatedBatch(OpId id, int port,
       const std::vector<EdgeRef> union_vec(all_retracted.begin(),
                                            all_retracted.end());
       pool_->ParallelFor(instances, [&](std::size_t s) {
-        node.coordination[s]->ReassertRetracted(union_vec);
+        node.coordination[s]->ReassertRetracted(union_vec,
+                                                deletion.validity.ts);
       });
       MergeAndRoute(id);  // the surviving re-assertions
     }
@@ -876,17 +877,17 @@ void Executor::ProcessBoundary(Timestamp boundary) {
       const OpId id = static_cast<OpId>(i);
       if (nodes_[i].op == nullptr) continue;  // removed (tombstoned) slot
       if (!nodes_[i].touched) {
-        // Never received input: every shard's StateSize() is 0, below the
-        // purge watermark, so MaybePurge would return immediately.
+        // Never received input: every shard's state is empty, so
+        // MaybePurge would return immediately.
         ++index_skipped_;
         continue;
       }
-      // Worth a pool dispatch only when at least two shards will actually
-      // run their O(state) purge scan; watermark checks run inline.
+      // Worth a pool dispatch only when at least two shards have purge
+      // work; the others' checks run inline.
       const std::size_t instances = NumInstances(id);
       std::size_t due = 0;
       for (std::size_t s = 0; s < instances && due < 2; ++s) {
-        if (instance(id, s)->PurgeDue()) ++due;
+        if (instance(id, s)->PurgeDue(boundary)) ++due;
       }
       ++ops_touched_;
       RunInstances(id, /*parallel=*/due >= 2,
@@ -908,7 +909,7 @@ void Executor::ProcessBoundary(Timestamp boundary) {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
       if (!node.touched) {
-        ++index_skipped_;  // StateSize() 0 < watermark: MaybePurge no-ops
+        ++index_skipped_;  // empty state: MaybePurge no-ops
         continue;
       }
       ++ops_touched_;

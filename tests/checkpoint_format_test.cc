@@ -63,6 +63,51 @@ TEST(Crc32Test, ChunkedMatchesOneShot) {
   }
 }
 
+// Byte-at-a-time reference over the same reflected polynomial: the
+// slicing-by-8 Crc32 must reproduce it bit for bit, or SGQC bytes change.
+std::uint32_t BytewiseCrc32(const unsigned char* p, std::size_t len,
+                            std::uint32_t crc) {
+  crc = ~crc;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buf(1024 + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& c : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<unsigned char>(x);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+          << "align " << align << " len " << len;
+    }
+  }
+  // Chunked continuation: every chunk size, including ones that leave
+  // the 8-byte loop mid-stride, composes to the reference.
+  const unsigned char* p = buf.data() + 3;
+  const std::size_t len = 1021;
+  const std::uint32_t want = BytewiseCrc32(p, len, 0);
+  for (std::size_t chunk = 1; chunk <= 64; ++chunk) {
+    std::uint32_t crc = 0;
+    for (std::size_t off = 0; off < len; off += chunk) {
+      crc = Crc32(p + off, std::min(chunk, len - off), crc);
+    }
+    EXPECT_EQ(crc, want) << "chunk " << chunk;
+  }
+  EXPECT_EQ(Crc32(p, 100, 0xDEADBEEFu), BytewiseCrc32(p, 100, 0xDEADBEEFu));
+}
+
 // ---------------------------------------------------------------------------
 // Round trip
 // ---------------------------------------------------------------------------

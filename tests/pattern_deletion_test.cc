@@ -10,10 +10,19 @@
 //  - at the operator, after every deletion no binding in any join table
 //    (expired or not) and no store-backed port edge embeds the deleted
 //    edge. The tables are read back from the checkpoint encoding.
+//
+// The shapes cover every way the re-assert finds its level-0 candidates:
+// postings by the output source (port 0 binds it), by the output target
+// (port 0 binds only that), and the full walk (port 0 binds neither).
+// At the operator the postings must equal a rebuild from the level-0
+// table after every step, and a slide-boundary purge must leave no
+// join-table binding that expired by then.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,8 +31,10 @@
 #include "core/pattern_op.h"
 #include "core/window_store.h"
 #include "model/checkpoint.h"
+#include "runtime/channel.h"
 #include "test_util.h"
 #include "workload/generators.h"
+#include "workload/harness.h"
 #include "workload/queries.h"
 
 namespace sgq {
@@ -83,6 +94,23 @@ const Shape kShapes[] = {
      "U(y,z) <- b(y,z)\nU(y,z) <- e(y,z)\n"
      "Answer(x,z) <- a(x,y), U(y,z), c(z,w), d(w,x)",
      1},
+    // Port 0 binds only the output target: postings by target.
+    {"chain3_trg",
+     {{"x", "y"}, {"y", "z"}, {"z", "w"}},
+     {{"a"}, {"b"}, {"c"}},
+     "w",
+     "x",
+     "Answer(w,x) <- a(x,y), b(y,z), c(z,w)",
+     0},
+    // Port 0 binds neither output variable: the re-assert walks every
+    // level-0 bucket.
+    {"chain3_none",
+     {{"x", "y"}, {"y", "z"}, {"z", "w"}},
+     {{"a"}, {"b"}, {"c"}},
+     "z",
+     "w",
+     "Answer(z,w) <- a(x,y), b(y,z), c(z,w)",
+     0},
 };
 
 const WindowSpec kWindow(16, 4);
@@ -190,6 +218,24 @@ TEST(PatternDeletionMatrixTest, EveryPortDeletionMatchesOracle) {
                 << shape.name << " workers=" << workers << " batch="
                 << batch << " seed=" << seed << " t=" << t;
           }
+
+          // Checkpoint mid-stream, restore into a fresh engine and delete
+          // on: the postings are not checkpointed and are rebuilt on the
+          // first re-assert after the restore.
+          const std::string path = ::testing::TempDir() + "/pattern_del_" +
+                                   shape.name + ".sgqc";
+          std::vector<Sgt> resumed;
+          auto metrics = RunSgaCheckpointKill(
+              stream, *query, vocab, options, path, stream.size() / 2,
+              3 * stream.size() / 4, shape.name, &resumed);
+          ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+          std::remove(path.c_str());
+          for (Timestamp t : times) {
+            ASSERT_EQ(ResultPairsAt(resumed, t),
+                      OraclePairsAt(stream, *query, vocab, t))
+                << shape.name << " restored, workers=" << workers
+                << " batch=" << batch << " seed=" << seed << " t=" << t;
+          }
         }
       }
     }
@@ -204,6 +250,7 @@ TEST(PatternDeletionMatrixTest, EveryPortDeletionMatchesOracle) {
 struct StoredBinding {
   std::size_t level;
   bool left;
+  std::vector<std::uint64_t> key;  ///< the bucket's join key
   std::vector<std::uint64_t> vals;
   Interval iv;
 };
@@ -218,11 +265,13 @@ std::vector<StoredBinding> DecodeBindings(const PatternOp& op) {
   auto read_table = [&](std::size_t level, bool left) {
     const std::uint64_t keys = in.U64();
     for (std::uint64_t k = 0; k < keys && in.ok(); ++k) {
-      const std::uint32_t key_len = in.U32();
-      for (std::uint32_t i = 0; i < key_len && in.ok(); ++i) in.U64();
+      std::vector<std::uint64_t> key(in.U32());
+      for (std::size_t i = 0; i < key.size() && in.ok(); ++i) {
+        key[i] = in.U64();
+      }
       const std::uint32_t n = in.U32();
       for (std::uint32_t i = 0; i < n && in.ok(); ++i) {
-        StoredBinding b{level, left, {}, Interval()};
+        StoredBinding b{level, left, key, {}, Interval()};
         const std::uint32_t arity = in.U32();
         for (std::uint32_t v = 0; v < arity && in.ok(); ++v) {
           b.vals.push_back(in.U64());
@@ -246,34 +295,61 @@ std::vector<StoredBinding> DecodeBindings(const PatternOp& op) {
   return out;
 }
 
+/// \brief A PatternOp built for `shape` as the engine configures it:
+/// ports >= 1 with a single label keep their edges in a WindowStore
+/// partition.
+struct OperatorUnderTest {
+  OperatorUnderTest(const Shape& shape, const Vocabulary& vocab)
+      : num_ports(shape.atoms.size()),
+        stores(num_ports),
+        port_state(num_ports) {
+    // Dense variable indexes in order of first appearance, each atom's
+    // target before its source, as the operator assigns them.
+    for (const Atom& atom : shape.atoms) {
+      var.emplace(atom.second, var.size());
+      var.emplace(atom.first, var.size());
+    }
+    for (std::size_t p = 1; p < num_ports; ++p) {
+      if (shape.port_labels[p].size() != 1) continue;
+      port_state[p].store = &stores[p];
+      port_state[p].label = Label(vocab, shape.port_labels[p][0]);
+    }
+    const LogicalPlan plan = BuildPlan(shape, vocab, Label(vocab, "Answer"));
+    op = std::make_unique<PatternOp>(*plan, port_state);
+  }
+
+  /// \brief Ports `label` feeds.
+  std::vector<int> PortsOf(const Shape& shape, const Vocabulary& vocab,
+                           LabelId label) const {
+    std::vector<int> ports;
+    for (std::size_t p = 0; p < num_ports; ++p) {
+      for (const char* l : shape.port_labels[p]) {
+        if (Label(vocab, l) == label) {
+          ports.push_back(static_cast<int>(p));
+          break;
+        }
+      }
+    }
+    return ports;
+  }
+
+  std::size_t num_ports;
+  std::map<std::string, std::size_t> var;
+  std::vector<WindowEdgeStore> stores;
+  std::vector<PatternPortState> port_state;
+  std::unique_ptr<PatternOp> op;
+};
+
 TEST(PatternDeletionScrubTest, NoBindingEmbedsADeletedEdge) {
   for (const Shape& shape : kShapes) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(11, &vocab);
     auto query = MakeQuery(shape.oracle_query, kWindow, &vocab);
     ASSERT_TRUE(query.ok()) << query.status().ToString();
-    const LogicalPlan plan = BuildPlan(shape, vocab, Label(vocab, "Answer"));
-
-    // Dense variable indexes in order of first appearance, each atom's
-    // target before its source, as the operator assigns them.
-    std::map<std::string, std::size_t> var;
-    for (const Atom& atom : shape.atoms) {
-      var.emplace(atom.second, var.size());
-      var.emplace(atom.first, var.size());
-    }
-    // Ports >= 1 with a single label keep their edges in a WindowStore
-    // partition, as the engine configures them.
-    const std::size_t num_ports = shape.atoms.size();
-    std::vector<WindowEdgeStore> stores(num_ports);
-    std::vector<PatternPortState> port_state(num_ports);
-    for (std::size_t p = 1; p < num_ports; ++p) {
-      if (shape.port_labels[p].size() != 1) continue;
-      port_state[p].store = &stores[p];
-      port_state[p].label = Label(vocab, shape.port_labels[p][0]);
-    }
-    PatternOp op(*plan, port_state);
+    OperatorUnderTest t(shape, vocab);
+    PatternOp& op = *t.op;
     ASSERT_EQ(op.num_store_backed_ports(),
-              num_ports - 1 - shape.private_right_tables);
+              t.num_ports - 1 - shape.private_right_tables);
 
     int checked = 0;
     Timestamp last_purge = 0;
@@ -282,22 +358,19 @@ TEST(PatternDeletionScrubTest, NoBindingEmbedsADeletedEdge) {
         last_purge = tuple.validity.ts;
         op.Purge(last_purge);
       }
-      for (std::size_t p = 0; p < num_ports; ++p) {
-        bool feeds = false;
-        for (const char* l : shape.port_labels[p]) {
-          feeds = feeds || Label(vocab, l) == tuple.label;
-        }
-        if (!feeds) continue;
-        op.OnTuple(static_cast<int>(p), tuple);
+      for (int p : t.PortsOf(shape, vocab, tuple.label)) {
+        op.OnTuple(p, tuple);
         if (!tuple.is_deletion) continue;
 
         ++checked;
-        const std::size_t sv = var[shape.atoms[p].first];
-        const std::size_t tv = var[shape.atoms[p].second];
+        const std::size_t sv = t.var[shape.atoms[p].first];
+        const std::size_t tv = t.var[shape.atoms[p].second];
         for (const StoredBinding& b : DecodeBindings(op)) {
           // Left tables of level j hold ports 0..j; right ones port j+1.
-          const bool holds_port = b.left ? p <= b.level : p == b.level + 1;
-          ASSERT_EQ(b.vals.size(), var.size());
+          const std::size_t port = static_cast<std::size_t>(p);
+          const bool holds_port =
+              b.left ? port <= b.level : port == b.level + 1;
+          ASSERT_EQ(b.vals.size(), t.var.size());
           EXPECT_FALSE(holds_port && b.vals[sv] == tuple.src &&
                        b.vals[tv] == tuple.trg)
               << shape.name << ": level " << b.level
@@ -306,9 +379,9 @@ TEST(PatternDeletionScrubTest, NoBindingEmbedsADeletedEdge) {
               << tuple.src << "->" << tuple.trg << " deleted at "
               << tuple.validity.ts << " on port " << p;
         }
-        if (port_state[p].store != nullptr) {
+        if (t.port_state[p].store != nullptr) {
           for (const StoredEdge& e :
-               stores[p].OutEdges(tuple.src, port_state[p].label)) {
+               t.stores[p].OutEdges(tuple.src, t.port_state[p].label)) {
             EXPECT_NE(e.trg, tuple.trg)
                 << shape.name << ": port " << p << " store keeps the edge";
           }
@@ -316,6 +389,209 @@ TEST(PatternDeletionScrubTest, NoBindingEmbedsADeletedEdge) {
       }
     }
     EXPECT_GT(checked, 20) << shape.name;
+  }
+}
+
+/// \brief Postings as (posted value, level-0 key) -> binding count.
+using PostingCounts =
+    std::map<std::pair<std::uint64_t, std::vector<std::uint64_t>>,
+             std::uint32_t>;
+
+/// \brief The operator's postings; a duplicate or zero-count entry fails.
+PostingCounts Postings(const PatternOp& op) {
+  PostingCounts out;
+  op.ForEachPosting([&](VertexId value, const auto& key,
+                        std::uint32_t count) {
+    EXPECT_GT(count, 0u) << "zero-count posting for " << value;
+    const bool fresh =
+        out.emplace(std::make_pair(value, std::vector<std::uint64_t>(
+                                              key.begin(), key.end())),
+                    count)
+            .second;
+    EXPECT_TRUE(fresh) << "duplicate posting for " << value;
+  });
+  return out;
+}
+
+/// \brief The postings rebuilt from the level-0 left table: one count per
+/// binding, under its value of variable `var`.
+PostingCounts RebuiltPostings(const PatternOp& op, std::size_t var) {
+  PostingCounts out;
+  for (const StoredBinding& b : DecodeBindings(op)) {
+    if (b.level == 0 && b.left) ++out[std::make_pair(b.vals[var], b.key)];
+  }
+  return out;
+}
+
+TEST(PatternPostingsTest, PostingsTrackLevel0AndBoundaryPurgeLeavesNoExpired) {
+  for (const Shape& shape : kShapes) {
+    Vocabulary vocab;
+    const InputStream stream = DeletionHeavyStream(17, &vocab);
+    auto query = MakeQuery(shape.oracle_query, kWindow, &vocab);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    OperatorUnderTest t(shape, vocab);
+    PatternOp& op = *t.op;
+    op.ConfigureExpirySlide(kWindow.slide);
+    // The posted variable: the output source if port 0 binds it, else the
+    // output target; postings exist only when port 0 binds either.
+    const Atom& atom0 = shape.atoms[0];
+    auto bound_by_port0 = [&](const char* v) {
+      return atom0.first == v || atom0.second == v;
+    };
+    const bool posted =
+        bound_by_port0(shape.out_src) || bound_by_port0(shape.out_trg);
+    const std::size_t posted_var =
+        t.var[bound_by_port0(shape.out_src) ? shape.out_src : shape.out_trg];
+    auto postings_match = [&] {
+      return !op.postings_built() ||
+             Postings(op) == RebuiltPostings(op, posted_var);
+    };
+
+    // Slide boundaries as the executor runs them: MaybePurge(boundary)
+    // before the first tuple at or past it.
+    Timestamp next_boundary = kWindow.slide;
+    int purges = 0;
+    for (const Sgt& tuple : ApplyWScan(stream, *query)) {
+      while (tuple.validity.ts >= next_boundary) {
+        op.MaybePurge(next_boundary);
+        ++purges;
+        for (const StoredBinding& b : DecodeBindings(op)) {
+          ASSERT_GT(b.iv.exp, next_boundary)
+              << shape.name << ": level " << b.level
+              << (b.left ? " left" : " right") << " keeps [" << b.iv.ts
+              << ", " << b.iv.exp << ") after the purge at "
+              << next_boundary;
+        }
+        ASSERT_TRUE(postings_match())
+            << shape.name << " after the purge at " << next_boundary;
+        next_boundary += kWindow.slide;
+      }
+      for (int p : t.PortsOf(shape, vocab, tuple.label)) {
+        op.OnTuple(p, tuple);
+        ASSERT_TRUE(postings_match())
+            << shape.name << " after " << (tuple.is_deletion ? "-" : "+")
+            << tuple.src << "->" << tuple.trg << " at " << tuple.validity.ts
+            << " on port " << p;
+      }
+    }
+    EXPECT_GT(purges, 20) << shape.name;
+    EXPECT_EQ(op.postings_built(), posted) << shape.name;
+  }
+}
+
+/// \brief Records what an operator emits.
+class EmissionLog : public PhysicalOp {
+ public:
+  void OnTuple(int port, const Sgt& tuple) override {
+    (void)port;
+    tuples.push_back(tuple);
+  }
+  std::string Name() const override { return "LOG"; }
+  std::vector<Sgt> tuples;
+};
+
+TEST(PatternReassertTest, NoReassertionEndsByTheDeletion) {
+  // A re-assertion whose interval ends at or before the deletion instant
+  // changes no snapshot from then on: the re-assert skips it, however
+  // long the expired bindings it came from stay unpurged. The operator
+  // is never purged here, the worst case for expired level-0 bindings.
+  Vocabulary vocab;
+  RandomStreamOptions opt;
+  opt.seed = 3;
+  opt.num_vertices = 12;
+  opt.num_labels = 3;
+  opt.num_edges = 3000;
+  opt.max_gap = 1;
+  opt.deletion_probability = 0.15;
+  auto stream = GenerateRandomStream(opt, &vocab);
+  ASSERT_TRUE(stream.ok());
+  const Shape& chain3 = kShapes[0];
+  auto query = MakeQuery(chain3.oracle_query, WindowSpec(30, 5), &vocab);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  OperatorUnderTest t(chain3, vocab);
+  EmissionLog log;
+  OutputChannel wire(&log, 0);
+  t.op->BindOutput(&wire);
+
+  std::size_t reasserted = 0;
+  for (const Sgt& tuple : ApplyWScan(*stream, *query)) {
+    for (int p : t.PortsOf(chain3, vocab, tuple.label)) {
+      const std::size_t before = log.tuples.size();
+      t.op->OnTuple(p, tuple);
+      if (!tuple.is_deletion) continue;
+      for (std::size_t i = before; i < log.tuples.size(); ++i) {
+        const Sgt& out = log.tuples[i];
+        if (out.is_deletion) continue;
+        ++reasserted;
+        EXPECT_GT(out.validity.exp, tuple.validity.ts)
+            << "re-asserted [" << out.validity.ts << ", "
+            << out.validity.exp << ") at the deletion at "
+            << tuple.validity.ts;
+      }
+    }
+  }
+  EXPECT_GT(reasserted, 0u);
+}
+
+TEST(PatternPostingsTest, RestoreIntoPurgedOperatorRebuildsPostings) {
+  // An operator that built its postings and was then purged to empty
+  // passes the restore's emptiness check. The restore must unbuild its
+  // (empty) postings, so the next re-assert rebuilds them from the
+  // restored level-0 table and finds the restored candidates.
+  const Shape& chain3 = kShapes[0];
+  Vocabulary vocab;
+  const InputStream stream = DeletionHeavyStream(23, &vocab);
+  auto query = MakeQuery(chain3.oracle_query, kWindow, &vocab);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const std::vector<Sgt> tuples = ApplyWScan(stream, *query);
+  const std::size_t half = tuples.size() / 2;
+  OperatorUnderTest original(chain3, vocab);
+  OperatorUnderTest restored(chain3, vocab);
+  auto feed = [&](OperatorUnderTest& t, std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      for (int p : t.PortsOf(chain3, vocab, tuples[i].label)) {
+        t.op->OnTuple(p, tuples[i]);
+      }
+    }
+  };
+  feed(original, 0, half);
+  feed(restored, 0, half);
+  ASSERT_TRUE(restored.op->postings_built());
+  restored.op->Purge(tuples.back().validity.exp + kWindow.size);
+  ASSERT_EQ(restored.op->StateSize(), 0u);
+
+  // Restore `original`'s mid-stream state, store partitions first.
+  for (std::size_t p = 0; p < original.num_ports; ++p) {
+    if (original.port_state[p].store == nullptr) continue;
+    std::string bytes;
+    original.stores[p].SerializeState(&bytes);
+    ByteReader in(bytes, "store");
+    ASSERT_TRUE(restored.stores[p].DeserializeState(&in).ok());
+  }
+  std::string bytes;
+  original.op->SerializeState(&bytes);
+  ByteReader in(bytes, "pattern state");
+  ASSERT_TRUE(restored.op->DeserializeState(&in).ok());
+  EXPECT_FALSE(restored.op->postings_built());
+
+  EmissionLog original_log;
+  EmissionLog restored_log;
+  OutputChannel original_wire(&original_log, 0);
+  OutputChannel restored_wire(&restored_log, 0);
+  original.op->BindOutput(&original_wire);
+  restored.op->BindOutput(&restored_wire);
+  feed(original, half, tuples.size());
+  feed(restored, half, tuples.size());
+  EXPECT_TRUE(restored.op->postings_built());
+  std::size_t retracted = 0;
+  for (const Sgt& out : original_log.tuples) {
+    if (out.is_deletion) ++retracted;
+  }
+  EXPECT_GT(retracted, 0u);
+  ASSERT_EQ(restored_log.tuples.size(), original_log.tuples.size());
+  for (std::size_t i = 0; i < original_log.tuples.size(); ++i) {
+    EXPECT_TRUE(restored_log.tuples[i] == original_log.tuples[i])
+        << "emission " << i << " differs after the restore";
   }
 }
 
