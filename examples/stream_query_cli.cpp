@@ -160,6 +160,7 @@ int main(int argc, char** argv) {
   Timestamp window = 24, slide = 1, slack = 0;
   bool use_gcore = false;
   bool format_auto = true;
+  StreamFormat format = StreamFormat::kCsv;
   std::string checkpoint_dir;
   std::uint64_t checkpoint_every = 0;
   bool restore = false;
@@ -225,10 +226,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
       ++i;
       if (std::strcmp(argv[i], "csv") == 0) {
-        options.ingest_format = StreamFormat::kCsv;
+        format = StreamFormat::kCsv;
         format_auto = false;
       } else if (std::strcmp(argv[i], "binary") == 0) {
-        options.ingest_format = StreamFormat::kBinary;
+        format = StreamFormat::kBinary;
         format_auto = false;
       } else if (std::strcmp(argv[i], "auto") == 0) {
         format_auto = true;
@@ -316,10 +317,8 @@ int main(int argc, char** argv) {
     }
     stream_text = std::move(text).ValueOrDie();
   }
-  if (format_auto && !file_feeder) {
-    options.ingest_format = DetectStreamFormat(stream_text);
-  }
-  const bool binary = options.ingest_format == StreamFormat::kBinary;
+  if (format_auto && !file_feeder) format = DetectStreamFormat(stream_text);
+  const bool binary = format == StreamFormat::kBinary;
 
   Vocabulary vocab;
 
@@ -541,22 +540,14 @@ int main(int argc, char** argv) {
     // pipeline's reorder stage restores timestamp order. A stream file is
     // mapped and served through the bounded readahead window so it never
     // materializes; the demo stream chunks in memory.
-    const std::size_t min_chunks =
-        options.ingest_parsers > 1 ? options.ingest_parsers * 2 : 1;
+    const FileChunkOptions fco = IngestChunkOptions(options);
     std::unique_ptr<FileChunkSource> file_source;
     std::unique_ptr<ChunkedStream> mem_source;
     const ChunkedStream* chunks = nullptr;
     if (file_feeder) {
-      FileChunkOptions fco;
-      fco.allow_disorder = slack > 0;
-      fco.min_chunks = min_chunks;
-      fco.readahead_chunks = std::max(options.ingest_readahead_chunks,
-                                      options.ingest_parsers + 1);
-      auto source =
-          format_auto
-              ? MakeFileChunkSource(stream_path, &vocab, fco)
-              : MakeFileChunkSource(stream_path, options.ingest_format,
-                                    &vocab, fco);
+      auto source = format_auto
+                        ? MakeFileChunkSource(stream_path, &vocab, fco)
+                        : MakeFileChunkSource(stream_path, format, &vocab, fco);
       if (!source.ok()) {
         std::fprintf(stderr, "stream: %s\n",
                      source.status().ToString().c_str());
@@ -565,10 +556,8 @@ int main(int argc, char** argv) {
       file_source = std::move(source).ValueOrDie();
       chunks = file_source.get();
     } else {
-      auto chunked = MakeChunkedStream(stream_text, options.ingest_format,
-                                       &vocab,
-                                       /*allow_disorder=*/slack > 0,
-                                       min_chunks);
+      auto chunked = MakeChunkedStream(stream_text, format, &vocab,
+                                       fco.allow_disorder, fco.min_chunks);
       if (!chunked.ok()) {
         std::fprintf(stderr, "stream: %s\n",
                      chunked.status().ToString().c_str());

@@ -71,7 +71,8 @@ FACT_KEYS = frozenset((
     "state_entries", "state_bytes", "ingest_stall_ns", "exec_stall_ns",
     "merge_stall_ns", "parser_stall_ns", "readahead_stall_ns",
     "parse_busy_ns", "speedup_vs_1", "speedup_vs_unshared",
-    "speedup_async_vs_sync", "emission_ratio", "ops", "shared_subtrees",
+    "speedup_async_vs_sync", "parse_speedup_vs_csv_sync",
+    "emission_ratio", "ops", "shared_subtrees",
     "cross_query_shared", "labels", "index_skipped_dispatches",
     "checkpoint_write_ns", "checkpoint_bytes",
 ))

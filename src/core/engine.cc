@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <functional>
 #include <utility>
 
@@ -12,29 +11,11 @@
 
 namespace sgq {
 
-namespace {
-
-ExecutorOptions ToExecutorOptions(const EngineOptions& options) {
-  ExecutorOptions exec_options;
-  exec_options.batch_size = options.batch_size;
-  exec_options.num_workers = options.num_workers == 0 ? 1
-                                                      : options.num_workers;
-  exec_options.time_advance_parallel_state_bar =
-      options.time_advance_parallel_state_bar;
-  exec_options.async_ingest = options.async_ingest;
-  exec_options.ingest_queue_depth = options.ingest_queue_depth;
-  exec_options.pin_workers = options.pin_workers;
-  exec_options.ingest_slack = options.ingest_slack;
-  exec_options.ingest_parsers =
-      options.ingest_parsers == 0 ? 1 : options.ingest_parsers;
-  return exec_options;
-}
-
-}  // namespace
-
 Engine::Engine(EngineOptions options)
-    : options_(std::move(options)), executor_(ToExecutorOptions(options_)) {
-  if (options_.num_workers == 0) options_.num_workers = 1;
+    : options_(std::move(options)), executor_(options_) {
+  // The executor normalizes its knobs (0 workers/parsers/batch -> 1);
+  // options() reports what runs.
+  static_cast<ExecutorOptions&>(options_) = executor_.options();
 }
 
 Engine::~Engine() {
@@ -79,8 +60,7 @@ Result<QueryId> Engine::AddPlan(const LogicalOp& plan,
   // emit snapshot-redundant tuples, so the sink coalesces for them.
   const bool root_coalesces = plan.kind == LogicalOpKind::kPattern ||
                               plan.kind == LogicalOpKind::kPath;
-  auto sink = std::make_unique<SinkOp>(options_.coalesce_output &&
-                                       !root_coalesces);
+  auto sink = std::make_unique<SinkOp>(/*coalesce=*/!root_coalesces);
   SinkOp* sink_ptr = sink.get();
   const OpId sink_id = executor_.AddOp(std::move(sink));
   SGQ_RETURN_NOT_OK(executor_.Connect(root, sink_id, 0));
@@ -239,21 +219,6 @@ Status Engine::Finalize() {
 }
 
 void Engine::PushAll(const InputStream& stream) {
-  if (options_.async_ingest) {
-    // Producer = a cursor over the pre-parsed stream; cheap, but it keeps
-    // the async code path identical whether elements come from memory or
-    // from a parser (workload/harness.cc runs CSV text through the same
-    // pipeline with the parse on the ingest thread).
-    std::size_t pos = 0;
-    executor_.RunPipelined([&](Sge* buf, std::size_t cap) {
-      const std::size_t n = std::min(cap, stream.size() - pos);
-      std::copy(stream.begin() + static_cast<std::ptrdiff_t>(pos),
-                stream.begin() + static_cast<std::ptrdiff_t>(pos + n), buf);
-      pos += n;
-      return n;
-    });
-    return;
-  }
   for (const Sge& sge : stream) Push(sge);
   executor_.Flush();
 }
@@ -310,12 +275,14 @@ std::vector<std::pair<std::string, std::string>> Engine::IdentityKeys()
   return {
       {"path_impl",
        options_.path_impl == PathImpl::kSPath ? "spath" : "delta-path"},
-      {"coalesce_output", options_.coalesce_output ? "1" : "0"},
+      // Results always coalesce (Def. 11), and the sharded time-advance
+      // dispatch no longer has a state bar; both keys keep their old
+      // constant values so snapshots match engines that recorded them.
+      {"coalesce_output", "1"},
       {"batch_size", std::to_string(options_.batch_size)},
       {"num_workers", std::to_string(options_.num_workers)},
       {"cross_query_sharing", options_.cross_query_sharing ? "1" : "0"},
-      {"time_advance_parallel_state_bar",
-       std::to_string(options_.time_advance_parallel_state_bar)},
+      {"time_advance_parallel_state_bar", "8192"},
       // Dispatch always goes through the query index; the key stays so
       // snapshots keep matching engines that still recorded the choice.
       {"use_query_index", "1"},
@@ -327,8 +294,6 @@ std::vector<std::pair<std::string, std::string>> Engine::InformationalKeys()
   // Ingest-side knobs change how bytes become elements, not what operator
   // state means — recorded for checkpoint_inspect, never refused.
   return {
-      {"ingest_format",
-       options_.ingest_format == StreamFormat::kCsv ? "csv" : "binary"},
       {"ingest_parsers", std::to_string(options_.ingest_parsers)},
       {"async_ingest", options_.async_ingest ? "1" : "0"},
       {"ingest_slack", std::to_string(options_.ingest_slack)},

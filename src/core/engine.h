@@ -63,75 +63,24 @@ namespace sgq {
 /// \brief Identifier of one registered query inside an Engine.
 using QueryId = int32_t;
 
-/// \brief Engine configuration.
-struct EngineOptions {
+/// \brief Engine configuration: the runtime's knobs (ExecutorOptions,
+/// documented there) plus the two that shape compilation.
+struct EngineOptions : ExecutorOptions {
   /// Physical implementation chosen for PATH operators (§6.2.3/§6.2.4).
   /// Engine-wide: a shared subtree must resolve to one implementation.
   PathImpl path_impl = PathImpl::kSPath;
-  /// Coalesce value-equivalent results at each query's sink (Def. 11).
-  bool coalesce_output = true;
-  /// Micro-batch size of the runtime's ingest queue. 1 (the default)
-  /// reproduces tuple-at-a-time semantics exactly; larger values trade
-  /// result latency for throughput (results materialize when the batch
-  /// flushes — on overflow, timestamp change handling, AdvanceTo, or
-  /// TakeResults).
-  std::size_t batch_size = 1;
-  /// Number of runtime workers (DESIGN.md §2.4). 1 (the default) runs the
-  /// classic single-threaded engine byte-identically. N > 1 compiles every
-  /// operator into N shard instances whose state is hash-partitioned by
-  /// the operator's routing key, and drives waves shard-parallel on a
-  /// persistent worker pool; results are snapshot-equivalent to
-  /// num_workers = 1 and deterministic run-to-run. Best combined with
-  /// batch_size > 1 so each wave carries enough tuples to spread.
-  std::size_t num_workers = 1;
   /// Share signature-identical operator subtrees across registered
   /// queries (DESIGN.md §3). When false, sharing is scoped to one query
   /// (each AddPlan compiles a private topology) — the ablation baseline
   /// bench_multi_query measures against.
   bool cross_query_sharing = true;
-  /// Sharded execution: dispatch an operator's time-advance wave to the
-  /// worker pool once any one of its shards holds at least this much
-  /// state, in addition to the operators that declare HasTimeDrivenWork()
-  /// (DESIGN.md §2.4). 0 disables the state heuristic. Forwarded to
-  /// ExecutorOptions under the same name.
-  std::size_t time_advance_parallel_state_bar =
-      kDefaultTimeAdvanceParallelStateBar;
-  /// Double-buffered async ingest (DESIGN.md §6): PushAll/RunPipelined
-  /// produce batch N+1 (stream parsing included) on a dedicated ingest
-  /// thread while batch N executes. Execution order is unchanged, so
-  /// results keep the exact contract of the synchronous path
-  /// (byte-identical at num_workers=1/batch_size=1). Forwarded to
-  /// ExecutorOptions under the same name, like the knobs below.
-  bool async_ingest = false;
-  /// Ready-batch queue depth of the ingest pipeline (backpressure bound).
-  std::size_t ingest_queue_depth = 4;
-  /// Pin runtime threads to cores: workers to [0, num_workers), the
-  /// ingest thread to the next slot. Best-effort pthread affinity with
-  /// silent fallback on unsupported platforms.
-  bool pin_workers = false;
-  /// Out-of-order slack absorbed by the async ingest stage (elements more
-  /// than this far behind the newest seen timestamp are dropped late).
-  /// Only meaningful with async_ingest through RunPipelined.
-  Timestamp ingest_slack = 0;
-  /// Parser threads of the sharded parse stage (DESIGN.md §6): N > 1
-  /// decodes stream chunks on N threads behind an order-restoring merge;
-  /// 1 (the default) keeps the classic single-producer ingest thread.
-  /// Only meaningful with async_ingest (RunPipelinedSharded). Forwarded
-  /// to ExecutorOptions under the same name.
-  std::size_t ingest_parsers = 1;
-  /// Declared encoding of raw stream bytes fed through the parse-as-you-
-  /// go ingest paths (workload/harness.h RunSgaText, the CLI): CSV text
-  /// or the SGQB binary record format. Engine-level only — the executor
-  /// sees decoded elements either way.
-  StreamFormat ingest_format = StreamFormat::kCsv;
-  /// Readahead window of file-backed ingest (workload/harness.h
-  /// RunSgaFile, the CLI's async path), in chunks: how many chunks may be
-  /// resolved but not yet retired at once. Regular files are mmapped and
-  /// served through this window, so peak ingest-buffer memory is
-  /// O(ingest_readahead_chunks · ~256 KB), not O(file)
-  /// (model/file_chunk_source.h). Clamped to at least ingest_parsers + 1
-  /// by RunSgaFile so every parser can hold a chunk while one more loads.
-  std::size_t ingest_readahead_chunks = 8;
+  /// Readahead window of file-backed ingest, in chunks: how many chunks a
+  /// model/file_chunk_source.h feeder may hold resolved but not yet
+  /// retired, so peak ingest-buffer memory is O(8 · ~256 KB), not O(file).
+  /// Callers raise it to at least ingest_parsers + 1 (workload/harness.h
+  /// IngestChunkOptions) so every parser can hold a chunk while one more
+  /// loads.
+  static constexpr std::size_t ingest_readahead_chunks = 8;
 };
 
 /// \brief N persistent queries compiled onto one shared dataflow.
@@ -267,29 +216,19 @@ class Engine {
   std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
   /// @}
 
-  /// \brief Feeds a whole stream in order and flushes the ingest queue.
-  /// With options().async_ingest, runs through the double-buffered ingest
-  /// pipeline instead of pushing inline (same results).
+  /// \brief Pushes a whole stream in order and flushes the ingest queue.
   void PushAll(const InputStream& stream);
 
-  /// \brief Pipelined ingest over an arbitrary element producer (stream
-  /// parsers, generators): producer work runs on the dedicated ingest
-  /// thread, execution on the calling thread; returns when the producer
-  /// is exhausted and every batch has executed (runtime/ingest_pipeline.h).
-  void RunPipelined(const IngestProducer& fill) {
-    executor_.RunPipelined(fill);
-  }
-
-  /// \brief Sharded-parse pipelined ingest: options().ingest_parsers
-  /// threads decode `stream`'s chunks behind an order-restoring merge;
-  /// parse errors surface as the returned Status (elements preceding the
-  /// error still execute). See runtime/ingest_pipeline.h.
+  /// \brief Ingests a whole chunked stream (parsed inline, or on the
+  /// ingest pipeline with async_ingest) and flushes; parse errors surface
+  /// as the returned Status (elements preceding the error still execute).
+  /// See Executor::RunPipelinedSharded.
   Status RunPipelinedSharded(const ChunkedStream& stream) {
     return executor_.RunPipelinedSharded(stream);
   }
 
-  /// \brief Cumulative async-ingest pipeline counters (zeros when the
-  /// pipeline never ran).
+  /// \brief Cumulative RunPipelinedSharded counters (zeros when it never
+  /// ran).
   const IngestStats& ingest_stats() const {
     return executor_.ingest_stats();
   }
@@ -312,8 +251,8 @@ class Engine {
   /// \brief Queries currently attached (registered minus removed).
   std::size_t NumLiveQueries() const { return live_queries_; }
 
-  /// \brief All results query `q` emitted so far (coalesced if
-  /// configured). With batch_size > 1, reflects the input flushed so far.
+  /// \brief All results query `q` emitted so far (coalesced, Def. 11).
+  /// With batch_size > 1, reflects the input flushed so far.
   const std::vector<Sgt>& results(QueryId q) const {
     return sink(q)->results();
   }

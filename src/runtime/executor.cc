@@ -6,6 +6,8 @@
 #include <set>
 
 #include "common/logging.h"
+#include "core/reorder_buffer.h"
+#include "model/stream_io.h"
 
 namespace sgq {
 
@@ -33,6 +35,7 @@ void OutputChannel::Push(const Sgt& tuple) {
 Executor::Executor(ExecutorOptions options) : options_(options) {
   if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.num_workers == 0) options_.num_workers = 1;
+  if (options_.ingest_parsers == 0) options_.ingest_parsers = 1;
 }
 
 Executor::~Executor() = default;
@@ -231,8 +234,7 @@ Status Executor::Finalize() {
     pool_ = std::make_unique<WorkerPool>(options_.num_workers, pool_options);
   }
   // Time-advance phases fire per distinct input timestamp; the
-  // dispatch only visits operators that declared time-driven work (plus
-  // the sharded state-bar promotions, kept in time_advance_hinted_).
+  // dispatch only visits operators that declared time-driven work.
   time_driven_ops_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].op->HasTimeDrivenWork()) {
@@ -283,7 +285,7 @@ Status Executor::FinalizeNewOps() {
     // The slide granularity is already fixed; the appended operators just
     // adopt it (RegisterSource refused finer slides). New ids are larger
     // than every existing one, so push_back keeps the ascending order the
-    // time-advance wave merges by.
+    // time-advance wave visits them in.
     for (std::size_t s = 0; s < NumInstances(static_cast<OpId>(i)); ++s) {
       instance(static_cast<OpId>(i), s)->ConfigureExpirySlide(slide_);
     }
@@ -322,7 +324,6 @@ Status Executor::RemoveOps(const std::vector<OpId>& dead,
       query_index_.Remove(node.source_label, id);
     }
     erase_id(&time_driven_ops_, id);
-    erase_id(&time_advance_hinted_, id);
     // Tombstone the slot: ids are never reused (channels and checkpoints
     // reference them positionally); every full-scan loop skips null ops.
     node.op.reset();
@@ -798,75 +799,28 @@ void Executor::DeliverSge(const Sge& sge) {
 // Clock
 // ---------------------------------------------------------------------------
 
-void Executor::UpdateTimeAdvanceHints() {
-  // Finer dispatch heuristic (ROADMAP): beyond operators that declare
-  // time-driven work, an operator whose shards have grown past the state
-  // bar is worth the pool wakeup — its expiry/purge-adjacent work scales
-  // with state. Evaluated at slide boundaries, not per distinct
-  // timestamp: StateSize() walks operator tables.
-  const std::size_t bar = options_.time_advance_parallel_state_bar;
-  if (bar == 0) return;
-  time_advance_hinted_.clear();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    OpNode& node = nodes_[i];
-    if (node.op == nullptr) continue;  // removed (tombstoned) slot
-    if (node.replicas.empty() || node.op->HasTimeDrivenWork()) continue;
-    // Never received input: StateSize() is 0 on every shard, below any
-    // positive bar — skip the state walk entirely.
-    if (!node.touched) continue;
-    bool hit = false;
-    for (std::size_t s = 0; s < 1 + node.replicas.size() && !hit; ++s) {
-      const PhysicalOp* op =
-          s == 0 ? node.op.get() : node.replicas[s - 1].get();
-      hit = op->StateSize() >= bar;
-    }
-    if (hit) time_advance_hinted_.push_back(static_cast<OpId>(i));
-  }
-}
-
 void Executor::TimeAdvanceWave(Timestamp now) {
-  // Only operators with declared time-driven work (plus, sharded, the
-  // state-bar promotions) can do anything in this phase: the base
-  // OnTimeAdvance is a no-op (core/physical.h contract), so skipping the
-  // rest is exact.
-  if (sharded()) {
-    // The two ascending lists are disjoint (UpdateTimeAdvanceHints excludes
-    // declared ops); merge them to visit operators in id order.
-    std::size_t a = 0;
-    std::size_t b = 0;
-    std::size_t visited = 0;
-    while (a < time_driven_ops_.size() || b < time_advance_hinted_.size()) {
-      bool declared;
-      OpId id;
-      if (b >= time_advance_hinted_.size() ||
-          (a < time_driven_ops_.size() &&
-           time_driven_ops_[a] < time_advance_hinted_[b])) {
-        id = time_driven_ops_[a++];
-        declared = true;
-      } else {
-        id = time_advance_hinted_[b++];
-        declared = false;
-      }
-      OpNode& node = nodes_[static_cast<std::size_t>(id)];
-      if (!declared && !node.replicas.empty()) ++state_bar_dispatches_;
-      ++ops_touched_;
-      ++visited;
-      RunInstances(id, /*parallel=*/true,
-                   [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
-    }
-    index_skipped_ += nodes_.size() - visited;
-    RunShardedWave();
-    return;
-  }
-  // Negative-tuple operators can emit retractions/re-derivations during
-  // OnTimeAdvance; RunOpPhase delivers them downstream.
+  // Only operators with declared time-driven work can do anything in this
+  // phase: the base OnTimeAdvance is a no-op (core/physical.h contract),
+  // so skipping the rest is exact.
   for (OpId id : time_driven_ops_) {
     ++ops_touched_;
-    OpNode& node = nodes_[static_cast<std::size_t>(id)];
-    RunOpPhase([&] { node.op->OnTimeAdvance(now); });
+    if (sharded()) {
+      RunInstances(id, /*parallel=*/true,
+                   [now](PhysicalOp* op) { op->OnTimeAdvance(now); });
+    } else {
+      // Negative-tuple operators can emit retractions/re-derivations
+      // during OnTimeAdvance; RunOpPhase delivers them downstream.
+      OpNode& node = nodes_[static_cast<std::size_t>(id)];
+      RunOpPhase([&] { node.op->OnTimeAdvance(now); });
+    }
   }
   index_skipped_ += nodes_.size() - time_driven_ops_.size();
-  if (wave_mode()) RunWave();
+  if (sharded()) {
+    RunShardedWave();
+  } else if (wave_mode()) {
+    RunWave();
+  }
 }
 
 void Executor::ProcessBoundary(Timestamp boundary) {
@@ -904,7 +858,6 @@ void Executor::ProcessBoundary(Timestamp boundary) {
       node.merge_purge_watermark =
           std::max<std::size_t>(1024, 2 * node.merge_coalescer.NumKeys());
     }
-    UpdateTimeAdvanceHints();
   } else {
     for (auto& node : nodes_) {
       if (node.op == nullptr) continue;  // removed (tombstoned) slot
@@ -1002,45 +955,40 @@ void Executor::ExecutePipelinedBatch(const Sge* sges, std::size_t n) {
   ExecuteOrderedBatch(sges, n);
 }
 
-namespace {
-
-/// \brief Folds one pipeline run's counters into the executor's
-/// cumulative stats (shared by RunPipelined / RunPipelinedSharded).
-void AccumulateIngestStats(IngestStats* total, const IngestStats& run) {
-  total->ingest_stall_ns += run.ingest_stall_ns;
-  total->exec_stall_ns += run.exec_stall_ns;
-  total->batches += run.batches;
-  total->late_dropped += run.late_dropped;
-  total->ingest_pinned = run.ingest_pinned;
-  total->merge_stall_ns += run.merge_stall_ns;
-  if (run.parsers > 0) total->parsers = run.parsers;
-  if (total->parser_stall_ns.size() < run.parser_stall_ns.size()) {
-    total->parser_stall_ns.resize(run.parser_stall_ns.size(), 0);
-    total->parser_busy_ns.resize(run.parser_busy_ns.size(), 0);
-  }
-  for (std::size_t p = 0; p < run.parser_stall_ns.size(); ++p) {
-    total->parser_stall_ns[p] += run.parser_stall_ns[p];
-    total->parser_busy_ns[p] += run.parser_busy_ns[p];
-  }
-}
-
-}  // namespace
-
-void Executor::RunPipelined(const IngestProducer& fill) {
-  SGQ_CHECK(finalized_) << "RunPipelined before Finalize";
-  IngestPipeline pipeline(this);
-  pipeline.Run(fill);
-  AccumulateIngestStats(&ingest_stats_, pipeline.stats());
-}
-
 Status Executor::RunPipelinedSharded(const ChunkedStream& stream) {
   SGQ_CHECK(finalized_) << "RunPipelinedSharded before Finalize";
-  IngestPipeline pipeline(this);
-  const Status status =
-      pipeline.RunSharded(stream, std::max<std::size_t>(
-                                      options_.ingest_parsers, 1));
-  AccumulateIngestStats(&ingest_stats_, pipeline.stats());
-  return status;
+  if (options_.async_ingest) {
+    IngestPipeline pipeline(this, &ingest_stats_);
+    return pipeline.Run(stream);
+  }
+  // Inline placement: the calling thread walks the chunks (one resident
+  // at a time) and ingests element by element, through the same slack
+  // stage and stats fold as the pipeline.
+  const uint64_t readahead_before = stream.ReadaheadStallNs();
+  ChunkWalkCursor cursor(stream, /*allow_disorder=*/options_.ingest_slack > 0);
+  ReorderBuffer reorder(options_.ingest_slack);
+  auto ingest = [&](const Sge& sge) {
+    if (options_.ingest_slack == 0) {
+      Ingest(sge);
+      return;
+    }
+    for (const Sge& released : reorder.Offer(sge)) Ingest(released);
+  };
+  std::vector<Sge> chunk(1024);
+  for (;;) {
+    const std::size_t n = cursor.Next(chunk.data(), chunk.size());
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; ++i) ingest(chunk[i]);
+  }
+  for (const Sge& released : reorder.Flush()) Ingest(released);
+  Flush();
+  ingest_stats_.late_dropped += reorder.LateCount();
+  const uint64_t stall = 0;
+  const uint64_t busy = cursor.busy_ns();
+  ingest_stats_.AddParserRun(1, &stall, &busy);
+  ingest_stats_.readahead_stall_ns +=
+      stream.ReadaheadStallNs() - readahead_before;
+  return cursor.status();
 }
 
 void Executor::AdvanceTo(Timestamp t) {

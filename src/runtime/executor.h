@@ -58,50 +58,42 @@
 
 namespace sgq {
 
-/// \brief Default state bar for the time-advance dispatch heuristic —
-/// defined once; EngineOptions forwards the same knob (core/engine.h).
-inline constexpr std::size_t kDefaultTimeAdvanceParallelStateBar = 8192;
-
-/// \brief Runtime configuration.
+/// \brief Runtime configuration: the knobs the executor reads. Each is
+/// declared and documented here once; EngineOptions (core/engine.h)
+/// derives from this struct.
 struct ExecutorOptions {
-  /// Micro-batch size: how many sges the ingest queue buffers before a
-  /// flush. 1 reproduces tuple-at-a-time semantics exactly.
+  /// Micro-batch size of the ingest queue. 1 (the default) reproduces
+  /// tuple-at-a-time semantics exactly; larger values trade result latency
+  /// for throughput (results materialize when the batch flushes — on
+  /// overflow, AdvanceTo, or TakeResults).
   std::size_t batch_size = 1;
-  /// Number of workers (= shards per operator). 1 (the default) runs the
-  /// classic single-threaded engine byte-identically; N > 1 partitions
-  /// operator state N ways and drives waves shard-parallel.
+  /// Number of workers (= shards per operator, DESIGN.md §2.4). 1 (the
+  /// default) runs the classic single-threaded engine byte-identically;
+  /// N > 1 hash-partitions every operator's state N ways and drives waves
+  /// shard-parallel on a persistent worker pool — snapshot-equivalent to
+  /// 1 and deterministic run-to-run. Best combined with batch_size > 1 so
+  /// each wave carries enough tuples to spread.
   std::size_t num_workers = 1;
-  /// Sharded mode: dispatch an operator's time-advance wave to the worker
-  /// pool once any single shard instance holds at least this much state —
-  /// in addition to operators declaring HasTimeDrivenWork(), whose expiry
-  /// work is always worth the dispatch. The bar is re-evaluated at slide
-  /// boundaries (amortized: StateSize() is not free, and time advances
-  /// fire per distinct input timestamp). 0 disables the heuristic.
-  std::size_t time_advance_parallel_state_bar =
-      kDefaultTimeAdvanceParallelStateBar;
-  /// Double-buffered async ingest (DESIGN.md §6): RunPipelined parses /
-  /// produces batch N+1 on a dedicated ingest thread while batch N
-  /// executes. Execution order is unchanged — workers=1/batch=1 output
-  /// stays byte-identical; the flag only selects where producer work runs.
-  bool async_ingest = false;
-  /// Bounded depth of the pipeline's ready-batch SPSC queue (backpressure
-  /// bound: at most this many parsed batches wait for execution).
-  std::size_t ingest_queue_depth = 4;
   /// Pin threads to cores (best-effort pthread affinity, silent fallback
   /// where unsupported): pool workers to cores [0, num_workers), the
   /// ingest thread to the next slot. See runtime/ingest_pipeline.h.
   bool pin_workers = false;
-  /// Out-of-order slack absorbed by the ingest stage of RunPipelined: a
-  /// producer may emit elements up to this far behind the newest timestamp
-  /// seen; older elements are dropped (IngestStats::late_dropped). 0 (the
-  /// default) requires an ordered producer.
+  /// Out-of-order slack absorbed by RunPipelinedSharded's reorder stage:
+  /// the stream may carry elements up to this far behind the newest
+  /// timestamp seen; older elements are dropped (IngestStats::
+  /// late_dropped). 0 (the default) requires an ordered stream.
   Timestamp ingest_slack = 0;
-  /// Parser threads of the sharded parse stage (RunPipelinedSharded):
-  /// N > 1 decodes the stream's chunks on N threads with an order-
-  /// restoring merge ahead of the batch hand-off; 1 (the default) is the
-  /// classic single-producer pipeline (byte-identical output at
-  /// num_workers=1/batch_size=1). See runtime/ingest_pipeline.h.
+  /// Parser threads of RunPipelinedSharded with async_ingest: N > 1
+  /// decodes the stream's chunks on N threads behind an order-restoring
+  /// merge; 1 (the default) is the single-producer pipeline. See
+  /// runtime/ingest_pipeline.h.
   std::size_t ingest_parsers = 1;
+  /// Where RunPipelinedSharded parses (DESIGN.md §6): false (the default)
+  /// walks the chunks on the calling thread; true runs the double-buffered
+  /// pipeline, parsing batch N+1 on dedicated threads while batch N
+  /// executes. Execution order is the same either way, so workers=1 /
+  /// batch=1 output stays byte-identical.
+  bool async_ingest = false;
 };
 
 /// \brief Owns and drives the operator topology of one running query.
@@ -201,22 +193,16 @@ class Executor {
   /// (processing slide boundaries and expirations on the way).
   void AdvanceTo(Timestamp t);
 
-  /// \brief Pipelined ingest (DESIGN.md §6): drains `fill` through the
-  /// double-buffered ingest pipeline — producer work on a dedicated
-  /// ingest thread, execution on the calling thread — and returns when
-  /// the producer is exhausted and every batch has executed. Equivalent
-  /// to Ingest()-ing every produced element in order (byte-identical at
-  /// workers=1/batch=1). Honors options().ingest_slack; stall/late
-  /// counters accumulate in ingest_stats(). Callable repeatedly.
-  void RunPipelined(const IngestProducer& fill);
-
-  /// \brief Sharded-parse pipelined ingest: options().ingest_parsers
-  /// threads decode `stream`'s chunks concurrently, the order-restoring
-  /// merge re-serializes them, and execution runs on the calling thread —
-  /// element order and batch boundaries are exactly RunPipelined's over a
-  /// sequential cursor. Parse errors surface as the returned Status
+  /// \brief Ingests a whole chunked stream and flushes (DESIGN.md §6).
+  /// Without async_ingest the calling thread walks the chunks, Ingest()-ing
+  /// every element; with it, the pipeline parses on dedicated threads
+  /// (options().ingest_parsers of them behind an order-restoring merge)
+  /// while execution stays on the calling thread. Either way the element
+  /// order and batch boundaries are those of Ingest()-ing the stream in
+  /// order (byte-identical at workers=1/batch=1), and ingest_slack applies
+  /// its reorder stage. Parse errors surface as the returned Status
   /// (elements preceding the error still execute). Counters accumulate in
-  /// ingest_stats(), including per-parser stall/busy time.
+  /// ingest_stats(). Callable repeatedly.
   Status RunPipelinedSharded(const ChunkedStream& stream);
   /// @}
 
@@ -237,10 +223,6 @@ class Executor {
   std::size_t edges_pushed() const { return edges_pushed_.value(); }
   std::size_t edges_processed() const { return edges_processed_.value(); }
   std::size_t num_waves() const { return num_waves_; }
-
-  /// \brief Time-advance pool dispatches credited to the state-bar
-  /// heuristic (i.e. for operators without declared time-driven work).
-  std::size_t state_bar_dispatches() const { return state_bar_dispatches_; }
 
   /// \brief The label-discrimination dispatch index (populated by
   /// RegisterSource / RegisterWildcardSource as queries compile).
@@ -263,8 +245,8 @@ class Executor {
   /// duplicates (diagnostics; 0 when unsharded).
   std::size_t merge_suppressed() const { return merge_suppressed_; }
 
-  /// \brief Cumulative pipeline counters of every RunPipelined call
-  /// (zeros when the pipeline never ran).
+  /// \brief Cumulative ingest counters of every RunPipelinedSharded call
+  /// (zeros when it never ran).
   const IngestStats& ingest_stats() const { return ingest_stats_; }
 
   /// \brief Total operator state entries (diagnostics). Shared window
@@ -425,10 +407,6 @@ class Executor {
   /// emitted.
   bool OfferAtMerge(OpNode& node, const Sgt& tuple);
 
-  /// \brief Re-evaluates every node's time-advance dispatch hint against
-  /// the state bar (called at slide boundaries).
-  void UpdateTimeAdvanceHints();
-
   /// \brief Runs `run_shard(s)` for every shard — on the worker pool when
   /// more than one shard has work, inline in shard order otherwise (same
   /// result, no dispatch cost).
@@ -487,9 +465,6 @@ class Executor {
   /// time-advance wave must run (the contract in core/physical.h
   /// requires overriders to declare themselves).
   std::vector<OpId> time_driven_ops_;
-  /// Sharded mode: operators promoted by the state-bar hint at
-  /// the last boundary (ascending; disjoint from time_driven_ops_).
-  std::vector<OpId> time_advance_hinted_;
   /// Min-heap (std::greater) of dirty node ids for the waves.
   std::vector<OpId> dirty_heap_;
   WindowStore window_store_;
@@ -521,7 +496,6 @@ class Executor {
   double slide_accum_seconds_ = 0;
   Counter edges_pushed_;
   Counter edges_processed_;
-  std::size_t state_bar_dispatches_ = 0;
   std::size_t merge_suppressed_ = 0;
   std::size_t ops_touched_ = 0;    ///< driver-thread only (see getter)
   std::size_t index_skipped_ = 0;  ///< driver-thread only (see getter)

@@ -145,6 +145,22 @@ struct Segment {
   bool end_of_chunk = false;
 };
 
+/// \brief Ready batches the hand-off queue holds (the backpressure bound);
+/// the buffer pool holds kIngestQueueDepth + 2 (one staging at ingest, one
+/// executing).
+constexpr std::size_t kIngestQueueDepth = 4;
+
+/// \brief The hand-off's buffer pool, prefilled with kIngestQueueDepth + 2
+/// empty batches of `batch_size` capacity.
+void FillBufferPool(SpscQueue<std::vector<Sge>>* free_buffers,
+                    std::size_t batch_size) {
+  for (std::size_t i = 0; i < kIngestQueueDepth + 2; ++i) {
+    std::vector<Sge> buffer;
+    buffer.reserve(batch_size);
+    SGQ_CHECK(free_buffers->TryPush(std::move(buffer)));
+  }
+}
+
 /// \brief Segments a parser may have in flight toward the merge; the free
 /// pool holds kGutterDepth + 2 (one staging at the parser, one draining at
 /// the merge), so steady state allocates nothing.
@@ -152,7 +168,21 @@ constexpr std::size_t kGutterDepth = 4;
 
 }  // namespace
 
-void IngestPipeline::IngestThread(const IngestProducer& fill,
+void IngestStats::AddParserRun(std::size_t num_parsers,
+                               const uint64_t* stall_ns,
+                               const uint64_t* busy_ns) {
+  parsers = num_parsers;
+  if (parser_stall_ns.size() < num_parsers) {
+    parser_stall_ns.resize(num_parsers, 0);
+    parser_busy_ns.resize(num_parsers, 0);
+  }
+  for (std::size_t p = 0; p < num_parsers; ++p) {
+    parser_stall_ns[p] += stall_ns[p];
+    parser_busy_ns[p] += busy_ns[p];
+  }
+}
+
+void IngestPipeline::IngestThread(ChunkWalkCursor* cursor,
                                   SpscQueue<Batch>* full,
                                   SpscQueue<Batch>* free_buffers) {
   const ExecutorOptions& options = executor_->options();
@@ -163,56 +193,70 @@ void IngestPipeline::IngestThread(const IngestProducer& fill,
     // the slot would wrap onto core 0 — the execution thread's pin — and
     // force exactly the timesharing pinning exists to avoid, so the
     // ingest thread floats instead.
-    stats_.ingest_pinned = WorkerPool::PinThisThread(options.num_workers);
+    WorkerPool::PinThisThread(options.num_workers);
   }
-  BatchStager stager(options, full, free_buffers, &stats_.ingest_stall_ns);
+  BatchStager stager(options, full, free_buffers, &stats_->ingest_stall_ns);
   bool ok = stager.Start();
 
-  // Producer chunks need not align with batches; a modest fixed chunk
-  // keeps per-call overhead low without adding latency at small batches.
+  // Cursor reads need not align with batches; a modest fixed chunk keeps
+  // per-call overhead low without adding latency at small batches.
   std::vector<Sge> chunk(
       std::clamp<std::size_t>(options.batch_size, 1, 1024));
   while (ok) {
-    const std::size_t n = fill(chunk.data(), chunk.size());
+    const std::size_t n = cursor->Next(chunk.data(), chunk.size());
     if (n == 0) break;
     for (std::size_t i = 0; i < n && ok; ++i) ok = stager.Emit(chunk[i]);
   }
-  stats_.late_dropped += stager.Finish(ok);
+  stats_->late_dropped += stager.Finish(ok);
   full->Close();
 }
 
 void IngestPipeline::ExecuteLoop(SpscQueue<Batch>* full,
                                  SpscQueue<Batch>* free_buffers) {
   Batch batch;
-  while (full->Pop(&batch, &stats_.exec_stall_ns)) {
+  while (full->Pop(&batch, &stats_->exec_stall_ns)) {
     executor_->ExecutePipelinedBatch(batch.data(), batch.size());
-    ++stats_.batches;
+    ++stats_->batches;
     batch.clear();
     // Never blocks: the pool holds at most depth + 2 buffers.
     SGQ_CHECK(free_buffers->TryPush(std::move(batch)));
   }
 }
 
-void IngestPipeline::Run(const IngestProducer& fill) {
+Status IngestPipeline::Run(const ChunkedStream& stream) {
   // Drain anything the synchronous Ingest path queued before the pipeline
   // takes over, so batch boundaries stay exactly the synchronous ones.
   executor_->Flush();
-
-  const ExecutorOptions& options = executor_->options();
-  const std::size_t depth = std::max<std::size_t>(options.ingest_queue_depth,
-                                                  1);
-  SpscQueue<Batch> full(depth);
-  // Buffer pool: `depth` in the queue + 1 staging at ingest + 1 executing.
-  SpscQueue<Batch> free_buffers(depth + 2);
-  for (std::size_t i = 0; i < depth + 2; ++i) {
-    Batch buffer;
-    buffer.reserve(options.batch_size);
-    SGQ_CHECK(free_buffers.TryPush(std::move(buffer)));
+  // Windowed file sources accumulate feeder time across every OpenChunk;
+  // accounting the per-run delta keeps cumulative stats correct.
+  const uint64_t readahead_before = stream.ReadaheadStallNs();
+  const std::size_t parsers = executor_->options().ingest_parsers;
+  Status status;
+  if (parsers <= 1) {
+    // One sequential chunk walk on the single-producer pipeline — the
+    // same element sequence as the inline walk, so output stays
+    // byte-identical to it.
+    ChunkWalkCursor cursor(stream,
+                           executor_->options().ingest_slack > 0);
+    RunSingle(&cursor);
+    const uint64_t stall = 0;
+    const uint64_t busy = cursor.busy_ns();
+    stats_->AddParserRun(1, &stall, &busy);
+    status = cursor.status();
+  } else {
+    status = RunSharded(stream, parsers);
   }
+  stats_->readahead_stall_ns += stream.ReadaheadStallNs() - readahead_before;
+  return status;
+}
 
-  std::thread ingest(
-      [&] { IngestThread(fill, &full, &free_buffers); });
+void IngestPipeline::RunSingle(ChunkWalkCursor* cursor) {
+  const ExecutorOptions& options = executor_->options();
+  SpscQueue<Batch> full(kIngestQueueDepth);
+  SpscQueue<Batch> free_buffers(kIngestQueueDepth + 2);
+  FillBufferPool(&free_buffers, options.batch_size);
 
+  std::thread ingest([&] { IngestThread(cursor, &full, &free_buffers); });
   {
     ScopedThreadPin pin_exec_thread(options.pin_workers, 0);
     (void)pin_exec_thread;
@@ -221,53 +265,14 @@ void IngestPipeline::Run(const IngestProducer& fill) {
   ingest.join();
 }
 
-void IngestPipeline::AccumulateParserStats(std::size_t parsers,
-                                           const uint64_t* stall_ns,
-                                           const uint64_t* busy_ns) {
-  stats_.parsers = parsers;
-  if (stats_.parser_stall_ns.size() < parsers) {
-    stats_.parser_stall_ns.resize(parsers, 0);
-    stats_.parser_busy_ns.resize(parsers, 0);
-  }
-  for (std::size_t p = 0; p < parsers; ++p) {
-    stats_.parser_stall_ns[p] += stall_ns[p];
-    stats_.parser_busy_ns[p] += busy_ns[p];
-  }
-}
-
 Status IngestPipeline::RunSharded(const ChunkedStream& stream,
                                   std::size_t parsers) {
   const ExecutorOptions& options = executor_->options();
   const bool allow_disorder = options.ingest_slack > 0;
-  // Windowed file sources accumulate feeder time across every OpenChunk;
-  // accounting the per-run delta keeps cumulative stats correct when one
-  // pipeline serves several runs.
-  const uint64_t readahead_before = stream.ReadaheadStallNs();
-
-  if (parsers <= 1) {
-    // Collapsed form: one sequential chunk walk on the classic single-
-    // producer pipeline — the same element sequence as an unchunked
-    // cursor, so output stays byte-identical to Run().
-    ChunkWalkCursor seq(stream, allow_disorder);
-    Run([&seq](Sge* buf, std::size_t cap) { return seq.Next(buf, cap); });
-    const uint64_t stall = 0;
-    const uint64_t busy = seq.busy_ns();
-    AccumulateParserStats(1, &stall, &busy);
-    stats_.readahead_stall_ns += stream.ReadaheadStallNs() - readahead_before;
-    return seq.status();
-  }
-
-  executor_->Flush();
   const std::size_t chunks = stream.NumChunks();
-  const std::size_t depth = std::max<std::size_t>(options.ingest_queue_depth,
-                                                  1);
-  SpscQueue<Batch> full(depth);
-  SpscQueue<Batch> free_buffers(depth + 2);
-  for (std::size_t i = 0; i < depth + 2; ++i) {
-    Batch buffer;
-    buffer.reserve(options.batch_size);
-    SGQ_CHECK(free_buffers.TryPush(std::move(buffer)));
-  }
+  SpscQueue<Batch> full(kIngestQueueDepth);
+  SpscQueue<Batch> free_buffers(kIngestQueueDepth + 2);
+  FillBufferPool(&free_buffers, options.batch_size);
 
   // Gutter stage: per-parser SPSC segment queues (parser -> merge) with a
   // free-list back-channel (merge -> parser). Chunk c is owned by parser
@@ -351,10 +356,10 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
   std::thread merge([&] {
     if (options.pin_workers &&
         options.num_workers < std::thread::hardware_concurrency()) {
-      stats_.ingest_pinned = WorkerPool::PinThisThread(options.num_workers);
+      WorkerPool::PinThisThread(options.num_workers);
     }
     BatchStager stager(options, &full, &free_buffers,
-                       &stats_.ingest_stall_ns);
+                       &stats_->ingest_stall_ns);
     bool ok = stager.Start();
     const bool check_order = !allow_disorder;
     Timestamp last_t = kMinTimestamp;
@@ -362,7 +367,7 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
       SpscQueue<Segment>& q = *gutter[c % parsers];
       for (;;) {
         Segment seg;
-        if (!q.Pop(&seg, &stats_.merge_stall_ns)) {
+        if (!q.Pop(&seg, &stats_->merge_stall_ns)) {
           // Parser vanished without an end-of-chunk marker: only happens
           // when the run is already aborting.
           if (merge_error.ok()) {
@@ -411,7 +416,7 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
         gutter_free[p]->Close();
       }
     }
-    stats_.late_dropped += stager.Finish(ok);
+    stats_->late_dropped += stager.Finish(ok);
     full.Close();
   });
 
@@ -422,8 +427,7 @@ Status IngestPipeline::RunSharded(const ChunkedStream& stream,
   }
   merge.join();
   for (std::thread& t : parser_threads) t.join();
-  AccumulateParserStats(parsers, parser_stall.data(), parser_busy.data());
-  stats_.readahead_stall_ns += stream.ReadaheadStallNs() - readahead_before;
+  stats_->AddParserRun(parsers, parser_stall.data(), parser_busy.data());
   return merge_error;
 }
 

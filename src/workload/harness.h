@@ -14,7 +14,9 @@
 #include "common/result.h"
 #include "core/engine.h"
 #include "core/query_processor.h"
+#include "model/file_chunk_source.h"
 #include "model/sgt.h"
+#include "model/stream_io.h"
 #include "query/rq.h"
 
 namespace sgq {
@@ -33,42 +35,46 @@ Result<RunMetrics> RunSgaPlan(const InputStream& stream,
                               const LogicalOp& plan, const Vocabulary& vocab,
                               EngineOptions options, std::string name);
 
-/// \brief Runs `query` over raw stream bytes (CSV text or SGQB binary,
-/// selected by options.ingest_format), parsing as part of the run — the
-/// ingest-bound configuration of the async-ingest experiments
-/// (bench_ingest_pipeline). Three parse placements, same Sge sequence, so
-/// the configurations are directly comparable:
-///  - sync (async_ingest off): parse inline on the execution thread;
+/// \brief How a run chunks its stream for RunPipelinedSharded, from the
+/// ingest knobs: at least 2 chunks per parser when ingest_parsers > 1 (so
+/// every parser gets work), a readahead window that lets every parser
+/// hold a chunk while one more loads (at least ingest_parsers + 1), and
+/// per-chunk ordering lifted when ingest_slack > 0 (the reorder stage
+/// re-validates). The chunk count never changes the element sequence.
+FileChunkOptions IngestChunkOptions(const ExecutorOptions& options);
+
+/// \brief Runs `query` over raw stream bytes in `format` (CSV text or SGQB
+/// binary), parsing as part of the run — the ingest-bound configuration
+/// of bench_ingest_pipeline. One RunPipelinedSharded call over the chunked
+/// bytes, so every parse placement sees the same element sequence:
+///  - sync (async_ingest off): parse inline on the calling thread;
 ///  - async, ingest_parsers <= 1: parse on the dedicated ingest thread,
-///    overlapped with execution (the PR 5 path);
+///    overlapped with execution;
 ///  - async, ingest_parsers = N > 1: sharded parse — N parser threads
 ///    over byte-range chunks behind the order-restoring merge.
 /// Labels/vertices are interned into `*vocab`; fails on malformed or
 /// out-of-order input. Parse-stage cost lands in RunMetrics
 /// (parse_busy_ns / ParseTuplesPerSec).
-Result<RunMetrics> RunSgaText(const std::string& bytes,
+Result<RunMetrics> RunSgaText(const std::string& bytes, StreamFormat format,
                               const StreamingGraphQuery& query,
                               Vocabulary* vocab, EngineOptions options,
                               std::string name);
 
-/// \brief RunSgaText over CSV text (options.ingest_format forced to CSV).
+/// \brief RunSgaText over CSV text.
 Result<RunMetrics> RunSgaCsv(const std::string& csv_text,
                              const StreamingGraphQuery& query,
                              Vocabulary* vocab, EngineOptions options,
                              std::string name);
 
-/// \brief Runs `query` over a stream *file* without materializing it:
-/// the file is mapped and served through the bounded readahead window of a
-/// model/file_chunk_source.h chunk feeder, so peak resident stream bytes
-/// are O(options.ingest_readahead_chunks · ~256 KB) regardless of file
-/// size.
-/// The decoded element sequence — and therefore every result and error —
-/// is byte-identical to RunSgaText over the same file's bytes in every
-/// configuration RunSgaText supports (sync inline parse, async single
-/// producer, async sharded parse; options.ingest_format declares the
-/// encoding). Feeder time
-/// lands in RunMetrics::readahead_stall_ns.
-Result<RunMetrics> RunSgaFile(const std::string& path,
+/// \brief Runs `query` over a stream *file* in `format` without
+/// materializing it: the file is mapped and served through the bounded
+/// readahead window of a model/file_chunk_source.h chunk feeder, so peak
+/// resident stream bytes are O(readahead · ~256 KB) regardless of file
+/// size. The decoded element sequence — and therefore every result and
+/// error — is byte-identical to RunSgaText over the same file's bytes in
+/// every parse placement. Feeder time lands in
+/// RunMetrics::readahead_stall_ns.
+Result<RunMetrics> RunSgaFile(const std::string& path, StreamFormat format,
                               const StreamingGraphQuery& query,
                               Vocabulary* vocab, EngineOptions options,
                               std::string name);

@@ -18,13 +18,12 @@
 #include "common/crc32.h"
 #include "model/checkpoint.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 
 namespace sgq {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 /// \brief A three-section image with non-trivial payloads (NULs, high
 /// bytes) — the fixture every fault-injection test mutates.

@@ -13,11 +13,13 @@
 
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/query_processor.h"
 #include "model/checkpoint.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 #include "workload/generators.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -25,9 +27,7 @@
 namespace sgq {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 /// \brief Deletion-heavy stream: deletions land on live window state, so
 /// checkpoints capture truncated intervals, scrubbed PATTERN ports, and
@@ -254,9 +254,10 @@ TEST(EngineCheckpointTest, OptionsIdentityMismatchRefused) {
 }
 
 TEST(EngineCheckpointTest, MetaKeepsConstantQueryIndexIdentityKey) {
-  // Dispatch always uses the query index, but the identity key stays in
-  // the meta section as "1" so snapshots written by engines that recorded
-  // the choice keep restoring, and vice versa.
+  // Dispatch always uses the query index, results always coalesce and the
+  // sharded time advance has no state bar, but each identity key stays in
+  // the meta section at its old constant value so snapshots written by
+  // engines that recorded the choice keep restoring, and vice versa.
   Vocabulary vocab;
   const InputStream stream = DeletionHeavyStream(&vocab, 5, 80);
   auto query = MakeQuery(kQuery, WindowSpec(16, 2), &vocab);
@@ -268,14 +269,15 @@ TEST(EngineCheckpointTest, MetaKeepsConstantQueryIndexIdentityKey) {
   auto meta = reader->Open("meta");
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   const std::uint32_t n_keys = meta->U32();
-  std::string value;
+  std::unordered_map<std::string, std::string> identity;
   for (std::uint32_t i = 0; i < n_keys && meta->ok(); ++i) {
     const std::string key = meta->Str();
-    const std::string v = meta->Str();
-    if (key == "use_query_index") value = v;
+    identity[key] = meta->Str();
   }
   ASSERT_TRUE(meta->ok()) << meta->status().ToString();
-  EXPECT_EQ(value, "1");
+  EXPECT_EQ(identity["use_query_index"], "1");
+  EXPECT_EQ(identity["coalesce_output"], "1");
+  EXPECT_EQ(identity["time_advance_parallel_state_bar"], "8192");
   std::remove(path.c_str());
 }
 

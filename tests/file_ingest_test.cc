@@ -29,6 +29,7 @@
 #include "core/query_processor.h"
 #include "model/file_chunk_source.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 #include "workload/generators.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -75,7 +76,7 @@ InputStream TestStream(Vocabulary* vocab) {
 }
 
 std::string WriteTemp(const std::string& name, const std::string& bytes) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testing_util::TempPath(name);
   EXPECT_TRUE(WriteFileBytes(path, bytes).ok());
   return path;
 }
@@ -223,7 +224,7 @@ TEST(FileChunkSourceTest, ZeroLengthFileMatchesMaterializedPath) {
 
 TEST(FileChunkSourceTest, MissingFileAndDirectoryErrors) {
   Vocabulary vocab;
-  auto missing = MakeFileChunkSource(::testing::TempDir() + "/nope.csv",
+  auto missing = MakeFileChunkSource(testing_util::TempPath("nope.csv"),
                                      StreamFormat::kCsv, &vocab);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
@@ -337,18 +338,17 @@ TEST(FileIngestDifferentialTest, ResultsIdenticalToInMemorySource) {
     const std::string path = WriteTemp(
         use_binary ? "differential.sgqb" : "differential.csv", bytes);
     for (std::size_t parsers : {std::size_t{1}, std::size_t{4}}) {
-      const std::size_t min_chunks = parsers > 1 ? parsers * 2 : 1;
       EngineOptions options;
       options.batch_size = 16;
       options.async_ingest = true;
       options.ingest_parsers = parsers;
-      auto reference =
-          MakeChunkedStream(bytes, format, &vocab, false, min_chunks);
+      FileChunkOptions fco = IngestChunkOptions(options);
+      auto reference = MakeChunkedStream(bytes, format, &vocab,
+                                         fco.allow_disorder, fco.min_chunks);
       ASSERT_TRUE(reference.ok()) << reference.status().ToString();
       const std::vector<Sgt> expected =
           RunShardedOver(*query, &vocab, **reference, options);
-      FileChunkOptions fco;
-      fco.min_chunks = min_chunks;
+      // The tightest window the chunking rule allows.
       fco.readahead_chunks = parsers + 1;
       auto source = MakeFileChunkSource(path, format, &vocab, fco);
       ASSERT_TRUE(source.ok()) << source.status().ToString();
@@ -392,13 +392,13 @@ TEST(FileIngestDifferentialTest, RunSgaFileMatchesRunSgaText) {
       options.batch_size = 16;
       options.async_ingest = p.async;
       options.ingest_parsers = p.parsers;
-      options.ingest_format =
+      const StreamFormat format =
           use_binary ? StreamFormat::kBinary : StreamFormat::kCsv;
-      auto text = RunSgaText(use_binary ? *binary : csv, *query, &vocab,
-                             options, "text");
+      auto text = RunSgaText(use_binary ? *binary : csv, format, *query,
+                             &vocab, options, "text");
       ASSERT_TRUE(text.ok()) << text.status().ToString();
-      auto file = RunSgaFile(use_binary ? bin_path : csv_path, *query,
-                             &vocab, options, "file");
+      auto file = RunSgaFile(use_binary ? bin_path : csv_path, format,
+                             *query, &vocab, options, "file");
       ASSERT_TRUE(file.ok()) << file.status().ToString();
       EXPECT_EQ(file->results_emitted, text->results_emitted)
           << "format=" << (use_binary ? "binary" : "csv")

@@ -3,14 +3,15 @@
 //  - the bounded SPSC hand-off queue preserves FIFO order, bounds its
 //    occupancy, drains after Close, and moves every element across a real
 //    producer/consumer thread pair (the configuration TSan checks);
-//  - async_ingest at num_workers=1 / batch_size=1 is byte-identical to
-//    the synchronous engine; every other configuration (workers {1,4} ×
-//    batch {1,64}, deletion-heavy streams, both PATH implementations)
-//    is snapshot-equivalent and run-to-run deterministic;
+//  - RunPipelinedSharded at num_workers=1 / batch_size=1 is byte-identical
+//    to per-element Push, inline and async; async in every other
+//    configuration (workers {1,4} × batch {1,64}, deletion-heavy streams,
+//    both PATH implementations) is snapshot-equivalent and run-to-run
+//    deterministic;
 //  - the incremental CSV cursor produces exactly ParseStreamCsv's
 //    elements and errors;
-//  - the reorder-slack stage folded into the pipeline matches the
-//    synchronous ReorderBuffer path;
+//  - the reorder-slack stage of RunPipelinedSharded, inline and async,
+//    matches a ReorderBuffer in front of per-element pushes;
 //  - pinned pools still cover every index (affinity is best-effort).
 
 #include <gtest/gtest.h>
@@ -229,24 +230,50 @@ std::vector<Sgt> RunEngine(const StreamingGraphQuery& query,
   return (*qp)->results();
 }
 
+/// \brief Runs a query over raw stream bytes through one
+/// RunPipelinedSharded call, chunked by the harness's rule, and returns
+/// the result sequence.
+std::vector<Sgt> RunEngineSharded(const StreamingGraphQuery& query,
+                                  Vocabulary* vocab, const std::string& bytes,
+                                  StreamFormat format,
+                                  EngineOptions options) {
+  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
+  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
+  if (!qp.ok()) return {};
+  const FileChunkOptions fco = IngestChunkOptions(options);
+  auto chunked = MakeChunkedStream(bytes, format, vocab, fco.allow_disorder,
+                                   fco.min_chunks);
+  EXPECT_TRUE(chunked.ok()) << chunked.status().ToString();
+  if (!chunked.ok()) return {};
+  Status run = (*qp)->engine().RunPipelinedSharded(**chunked);
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  return (*qp)->results();
+}
+
 TEST(AsyncIngestTest, ByteIdenticalAtSingleWorkerBatchOne) {
+  // Both parse placements of RunPipelinedSharded — inline on the calling
+  // thread and on the ingest thread — reproduce per-element Push exactly.
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(11, &vocab);
+    const std::string csv = FormatStreamCsv(stream, vocab);
     auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
     ASSERT_TRUE(query.ok()) << config.query;
     EngineOptions sync_options;
     sync_options.path_impl = config.path_impl;
-    EngineOptions async_options = sync_options;
-    async_options.async_ingest = true;
     const std::vector<Sgt> expected =
         RunEngine(*query, vocab, stream, sync_options);
-    const std::vector<Sgt> actual =
-        RunEngine(*query, vocab, stream, async_options);
-    ASSERT_EQ(expected.size(), actual.size()) << config.query;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_TRUE(expected[i] == actual[i])
-          << config.query << " position " << i;
+    for (const bool async : {false, true}) {
+      EngineOptions options = sync_options;
+      options.async_ingest = async;
+      const std::vector<Sgt> actual = RunEngineSharded(
+          *query, &vocab, csv, StreamFormat::kCsv, options);
+      ASSERT_EQ(expected.size(), actual.size())
+          << config.query << " async=" << async;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(expected[i] == actual[i])
+            << config.query << " async=" << async << " position " << i;
+      }
     }
   }
 }
@@ -258,6 +285,7 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(seed, &vocab);
+    const std::string csv = FormatStreamCsv(stream, vocab);
     auto query = MakeQuery(config.query, WindowSpec(12, 3), &vocab);
     ASSERT_TRUE(query.ok()) << config.query;
 
@@ -274,11 +302,8 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
         options.num_workers = workers;
         options.batch_size = batch;
         options.async_ingest = true;
-        // A depth of 1 maximizes backpressure; exercise it on half the
-        // grid so both queue regimes stay covered.
-        if (batch == 1) options.ingest_queue_depth = 1;
-        const std::vector<Sgt> async_results =
-            RunEngine(*query, vocab, stream, options);
+        const std::vector<Sgt> async_results = RunEngineSharded(
+            *query, &vocab, csv, StreamFormat::kCsv, options);
         for (Timestamp t : times) {
           ASSERT_EQ(ResultPairsAt(async_results, t),
                     ResultPairsAt(reference, t))
@@ -287,8 +312,8 @@ TEST_P(AsyncIngestEquivalenceTest, SnapshotsMatchSynchronousIngest) {
         }
         // Run-to-run determinism, order included: execution stays on one
         // thread, so async must not introduce schedule dependence.
-        const std::vector<Sgt> again =
-            RunEngine(*query, vocab, stream, options);
+        const std::vector<Sgt> again = RunEngineSharded(
+            *query, &vocab, csv, StreamFormat::kCsv, options);
         ASSERT_EQ(async_results.size(), again.size());
         for (std::size_t i = 0; i < again.size(); ++i) {
           ASSERT_TRUE(async_results[i] == again[i])
@@ -343,15 +368,16 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
     EngineOptions options;
     options.async_ingest = async;
     options.ingest_parsers = parsers;
-    options.ingest_format = format;
     options.batch_size = 16;
-    auto metrics = RunSgaText(bytes, *query, &vocab, options, "text");
+    auto metrics = RunSgaText(bytes, format, *query, &vocab, options, "text");
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     if (!metrics.ok()) return std::size_t(0);
     // Every placement measures the parse stage.
     EXPECT_GT(metrics->parse_busy_ns, 0u);
     EXPECT_GT(metrics->ParseTuplesPerSec(), 0.0);
-    if (parsers > 1) EXPECT_EQ(metrics->parsers, parsers);
+    if (parsers > 1) {
+      EXPECT_EQ(metrics->parsers, parsers);
+    }
     return metrics->results_emitted;
   };
   const std::size_t expected = run(csv, StreamFormat::kCsv, false, 1);
@@ -366,31 +392,10 @@ TEST(AsyncIngestTest, TextHarnessCoversBothFormatsAndParserCounts) {
 // Sharded parse stage (RunPipelinedSharded)
 // ---------------------------------------------------------------------------
 
-/// \brief Runs a query over raw stream bytes through the sharded-parse
-/// pipeline and returns the result sequence.
-std::vector<Sgt> RunEngineSharded(const StreamingGraphQuery& query,
-                                  Vocabulary* vocab, const std::string& bytes,
-                                  StreamFormat format,
-                                  EngineOptions options) {
-  auto qp = QueryProcessor::FromQuery(query, *vocab, options);
-  EXPECT_TRUE(qp.ok()) << qp.status().ToString();
-  if (!qp.ok()) return {};
-  auto chunked = MakeChunkedStream(
-      bytes, format, vocab, /*allow_disorder=*/false,
-      /*min_chunks=*/options.ingest_parsers > 1 ? options.ingest_parsers * 2
-                                                : 1);
-  EXPECT_TRUE(chunked.ok()) << chunked.status().ToString();
-  if (!chunked.ok()) return {};
-  Status run = (*qp)->engine().RunPipelinedSharded(**chunked);
-  EXPECT_TRUE(run.ok()) << run.ToString();
-  return (*qp)->results();
-}
-
 TEST(ShardedParseTest, SingleParserByteIdenticalToClassicPipeline) {
-  // parsers=1 collapses to the classic single-producer Run() over a
+  // parsers=1 collapses to the single-producer pipeline over a
   // sequential chunk walk: same element sequence, so results are
-  // byte-identical to both the synchronous engine and the PR 5 async
-  // path at workers=1 / batch=1.
+  // byte-identical to the synchronous engine at workers=1 / batch=1.
   for (const Config& config : kConfigs) {
     Vocabulary vocab;
     const InputStream stream = DeletionHeavyStream(59, &vocab);
@@ -585,6 +590,7 @@ TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
   for (std::size_t i = 0; i + 1 < disordered.size(); i += 2) {
     std::swap(disordered[i], disordered[i + 1]);
   }
+  const std::string csv = FormatStreamCsv(disordered, vocab);
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
@@ -604,31 +610,34 @@ TEST(AsyncIngestTest, ReorderSlackFoldedIntoPipelineMatchesSyncPath) {
   (*sync_qp)->Flush();
   const std::vector<Sgt> expected = (*sync_qp)->results();
 
-  // Pipelined: the slack stage runs on the ingest thread.
-  EngineOptions async_options;
-  async_options.async_ingest = true;
-  async_options.ingest_slack = kSlack;
-  auto async_qp = QueryProcessor::FromQuery(*query, vocab, async_options);
-  ASSERT_TRUE(async_qp.ok());
-  std::size_t pos = 0;
-  (*async_qp)->engine().RunPipelined([&](Sge* buf, std::size_t cap) {
-    const std::size_t n = std::min(cap, disordered.size() - pos);
-    for (std::size_t i = 0; i < n; ++i) buf[i] = disordered[pos + i];
-    pos += n;
-    return n;
-  });
-  const std::vector<Sgt> actual = (*async_qp)->results();
-  EXPECT_EQ((*async_qp)->engine().ingest_stats().late_dropped, sync_late);
-
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_TRUE(expected[i] == actual[i]) << "position " << i;
+  // RunPipelinedSharded's slack stage, inline and on the ingest thread.
+  for (const bool async : {false, true}) {
+    EngineOptions options;
+    options.async_ingest = async;
+    options.ingest_slack = kSlack;
+    auto qp = QueryProcessor::FromQuery(*query, vocab, options);
+    ASSERT_TRUE(qp.ok());
+    const FileChunkOptions fco = IngestChunkOptions(options);
+    ASSERT_TRUE(fco.allow_disorder);
+    auto chunked = MakeChunkedStream(csv, StreamFormat::kCsv, &vocab,
+                                     fco.allow_disorder, fco.min_chunks);
+    ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+    ASSERT_TRUE((*qp)->engine().RunPipelinedSharded(**chunked).ok());
+    const std::vector<Sgt> actual = (*qp)->results();
+    EXPECT_EQ((*qp)->engine().ingest_stats().late_dropped, sync_late)
+        << "async=" << async;
+    ASSERT_EQ(expected.size(), actual.size()) << "async=" << async;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(expected[i] == actual[i])
+          << "async=" << async << " position " << i;
+    }
   }
 }
 
 TEST(AsyncIngestTest, StatsAccumulateAndPinnedRunsStayCorrect) {
   Vocabulary vocab;
   const InputStream stream = DeletionHeavyStream(47, &vocab);
+  const std::string csv = FormatStreamCsv(stream, vocab);
   auto query =
       MakeQuery("Answer(x,y) <- a+(x,y)", WindowSpec(12, 3), &vocab);
   ASSERT_TRUE(query.ok());
@@ -639,10 +648,29 @@ TEST(AsyncIngestTest, StatsAccumulateAndPinnedRunsStayCorrect) {
   options.batch_size = 16;
   auto qp = QueryProcessor::FromQuery(*query, vocab, options);
   ASSERT_TRUE(qp.ok()) << qp.status().ToString();
-  (*qp)->PushAll(stream);
+  // Two runs over halves of the stream: the counters accumulate.
+  const std::size_t half = stream.size() / 2;
+  const std::string first = FormatStreamCsv(
+      InputStream(stream.begin(), stream.begin() + half), vocab);
+  const std::string second = FormatStreamCsv(
+      InputStream(stream.begin() + half, stream.end()), vocab);
+  std::size_t batches_after_first = 0;
+  for (const std::string* part : {&first, &second}) {
+    auto chunked = MakeChunkedStream(*part, StreamFormat::kCsv, &vocab,
+                                     false, /*min_chunks=*/1);
+    ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
+    ASSERT_TRUE((*qp)->engine().RunPipelinedSharded(**chunked).ok());
+    if (part == &first) {
+      batches_after_first = (*qp)->engine().ingest_stats().batches;
+    }
+  }
   const IngestStats& stats = (*qp)->engine().ingest_stats();
-  EXPECT_GT(stats.batches, 0u);
+  EXPECT_GT(batches_after_first, 0u);
+  EXPECT_GT(stats.batches, batches_after_first);
   EXPECT_EQ(stats.late_dropped, 0u);
+  EXPECT_EQ(stats.parsers, 1u);
+  ASSERT_EQ(stats.parser_busy_ns.size(), 1u);
+  EXPECT_GT(stats.parser_busy_ns[0], 0u);
 
   EngineOptions unpinned = options;
   unpinned.pin_workers = false;

@@ -222,8 +222,8 @@ TEST(PatternDeletionMatrixTest, EveryPortDeletionMatchesOracle) {
           // Checkpoint mid-stream, restore into a fresh engine and delete
           // on: the postings are not checkpointed and are rebuilt on the
           // first re-assert after the restore.
-          const std::string path = ::testing::TempDir() + "/pattern_del_" +
-                                   shape.name + ".sgqc";
+          const std::string path = testing_util::TempPath(
+              std::string("pattern_del_") + shape.name + ".sgqc");
           std::vector<Sgt> resumed;
           auto metrics = RunSgaCheckpointKill(
               stream, *query, vocab, options, path, stream.size() / 2,

@@ -15,9 +15,12 @@
 
 #include "common/string_util.h"
 #include "model/stream_io.h"
+#include "test_util.h"
 
 namespace sgq {
 namespace {
+
+using testing_util::TempPath;
 
 /// \brief Drains a cursor into an InputStream; asserts the cursor ends ok.
 InputStream Drain(StreamCursor* cursor) {
@@ -436,8 +439,7 @@ TEST(ChunkedStreamTest, BinaryHeaderErrorsSurfaceAtConstruction) {
 // ---------------------------------------------------------------------------
 
 TEST(StreamFileTest, ReadWriteRoundTripsBinaryBytes) {
-  const std::string path =
-      ::testing::TempDir() + "/stream_io_test_bytes.bin";
+  const std::string path = TempPath("stream_io_test_bytes.bin");
   std::string payload = "SGQB";
   payload.push_back('\0');
   payload += std::string(kStreamIoBufferBytes + 17, 'x');  // spans buffers
@@ -452,7 +454,7 @@ TEST(StreamFileTest, ReadWriteRoundTripsBinaryBytes) {
 }
 
 TEST(StreamFileTest, MissingFileErrorCarriesErrnoText) {
-  const std::string path = ::testing::TempDir() + "/no_such_stream.csv";
+  const std::string path = TempPath("no_such_stream.csv");
   auto r = ReadFileBytes(path);
   ASSERT_FALSE(r.ok());
   // The message names the path and the strerror(ENOENT) text, so a user
@@ -471,7 +473,7 @@ TEST(StreamFileTest, DirectoryInsteadOfFileIsInvalidArgument) {
 }
 
 TEST(StreamFileTest, ZeroLengthRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/stream_io_empty.bin";
+  const std::string path = TempPath("stream_io_empty.bin");
   ASSERT_TRUE(WriteFileBytes(path, "").ok());
   auto back = ReadFileBytes(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -480,7 +482,7 @@ TEST(StreamFileTest, ZeroLengthRoundTrip) {
 }
 
 TEST(StreamFileTest, FileByteSinkSpansBufferFlushes) {
-  const std::string path = ::testing::TempDir() + "/stream_io_sink.bin";
+  const std::string path = TempPath("stream_io_sink.bin");
   std::string payload;
   for (int i = 0; i < 7; ++i) {
     payload += std::string(kStreamIoBufferBytes / 2 + 11,
@@ -505,7 +507,7 @@ TEST(StreamFileTest, FileByteSinkSpansBufferFlushes) {
 }
 
 TEST(StreamFileTest, FileByteSinkOpenFailureSticks) {
-  FileByteSink sink(::testing::TempDir() + "/no/such/dir/out.bin");
+  FileByteSink sink(TempPath("no/such/dir/out.bin"));
   EXPECT_FALSE(sink.Append("x").ok());
   EXPECT_FALSE(sink.Close().ok());
   EXPECT_FALSE(sink.status().ok());
@@ -518,8 +520,8 @@ TEST(StreamFileTest, ReadStreamFileAutoDetectsFormat) {
   auto binary = FormatStreamBinary(*parsed, vocab);
   ASSERT_TRUE(binary.ok());
 
-  const std::string csv_path = ::testing::TempDir() + "/stream_auto.csv";
-  const std::string bin_path = ::testing::TempDir() + "/stream_auto.sgqb";
+  const std::string csv_path = TempPath("stream_auto.csv");
+  const std::string bin_path = TempPath("stream_auto.sgqb");
   ASSERT_TRUE(WriteFileBytes(csv_path, kSampleCsv).ok());
   ASSERT_TRUE(WriteFileBytes(bin_path, *binary).ok());
 

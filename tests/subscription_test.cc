@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -33,10 +34,7 @@ namespace {
 
 using testing_util::ResultPairsAt;
 using testing_util::SampleTimes;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
+using testing_util::TempPath;
 
 InputStream RandomStream(uint64_t seed, Vocabulary* vocab,
                          std::size_t num_edges = 150) {
@@ -432,6 +430,7 @@ TEST(RemoveQueryCheckpointTest, RestoresOnlyIntoMatchingRemovalHistory) {
   EXPECT_NE(refused.message().find("removed in the checkpoint"),
             std::string::npos)
       << refused.ToString();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,8 +6,13 @@
 #ifndef SGQ_TESTS_TEST_UTIL_H_
 #define SGQ_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <set>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "model/coalesce.h"
 #include "model/sgt.h"
@@ -17,6 +22,13 @@
 
 namespace sgq {
 namespace testing_util {
+
+/// \brief A scratch-file path under the test temp dir whose name carries
+/// the process id, so test processes running at once never share a file.
+inline std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/sgq_" + std::to_string(::getpid()) + "_" +
+         name;
+}
 
 /// \brief Applies the WSCAN semantics of `query` to an input stream,
 /// producing the windowed streaming graph W(S) (per-label windows
